@@ -522,7 +522,9 @@ void RunKernelSweep(const bench::BenchArgs& args) {
   const uint32_t rows = args.quick ? 1024 : 4096;
   const uint32_t queries = args.quick ? 8 : 32;
   const double min_measure_sec = args.quick ? 0.002 : 0.02;
-  const size_t kDims[] = {8, 16, 32, 64};
+  // d = 2 (the paper's spatial data) and d = 3 run the narrow 2- and
+  // 4-float rows; the rest run lane multiples.
+  const size_t kDims[] = {2, 3, 8, 16, 32, 64};
   const Norm kNorms[] = {Norm::kL1, Norm::kL2, Norm::kLInf};
 
   bench::PrintTableHeader(

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
+#include "common/check.h"
 #include "geom/distance_kernels.h"
 #include "seq/paa.h"
 #include "seq/window_join.h"
@@ -19,33 +21,66 @@ VectorPairJoiner::VectorPairJoiner(const VectorDataset* r,
 namespace {
 
 /// Kernel tile width for the page-pair join: one mask buffer of this many
-/// rows lives on the stack, and the S page is processed in ascending
+/// rows lives on the stack, and an S window is processed in ascending
 /// tiles of this size per R record, so emission order is exactly the
 /// scalar double loop's (i ascending, j ascending).
 constexpr uint32_t kJoinTile = 256;
+
+/// Relative widening of the sweep window's half-width ε. Any pair the
+/// scalar reference accepts has an exact coordinate-0 gap of at most ε
+/// plus a few double ulps of rounding, far inside this slack.
+constexpr double kWindowSlack = 1.0 + 1e-9;
+
+/// Coordinate 0 of row `j` — the key a page's rows ascend in.
+inline float FirstCoordinate(const kernels::BlockView& block, uint32_t j) {
+  return block.data[uint64_t(j) * block.stride];
+}
+
+/// The sorted-page invariant of VectorDataset::PageBlock, which the sweep
+/// relies on (checked in paranoid builds).
+bool AscendsInFirstCoordinate(const kernels::BlockView& block) {
+  for (uint32_t j = 1; j < block.count; ++j) {
+    if (FirstCoordinate(block, j) < FirstCoordinate(block, j - 1))
+      return false;
+  }
+  return true;
+}
 
 }  // namespace
 
 void VectorPairJoiner::JoinPages(uint32_t r_page, uint32_t s_page,
                                  PairSink* sink, OpCounters* ops) {
-  const uint32_t nr = r_->PageRecordCount(r_page);
-  const uint32_t ns = s_->PageRecordCount(s_page);
-  const size_t dims = r_->dims();
-  // Tiled kernel join over the pages' contiguous padded blocks. The
-  // determinism contract (DESIGN.md "Kernel layer"): the kernels decide
-  // "within eps" exactly as the scalar WithinDistance reference, and the
-  // (i, j) emission order below is the scalar double loop's, so the
-  // PairSink sees a byte-identical stream. Counters are charged by the
-  // same deterministic formulas as before — layout and vector width can
-  // never show up in a reported number.
   const kernels::BlockView r_block = r_->PageBlock(r_page);
   const kernels::BlockView s_block = s_->PageBlock(s_page);
+  const size_t dims = r_->dims();
+  PMJOIN_DCHECK(AscendsInFirstCoordinate(r_block) &&
+                    AscendsInFirstCoordinate(s_block),
+                "page rows must ascend in coordinate 0: pages ", r_page,
+                ", ", s_page);
+  // Sort-sweep over the pages' coordinate-0 order. Each coordinate gap is
+  // at most the L1, L2 or Linf distance, so only S rows whose coordinate
+  // 0 lies within ε of the R row's can qualify; both pages ascend in it,
+  // so that window is one contiguous slot range whose ends only move
+  // forward as i grows. The kernels still decide every pair in the
+  // window, exactly as the scalar WithinDistance reference (DESIGN.md
+  // "Kernel layer"), and the (i, j) emission order is the scalar double
+  // loop's, so the PairSink sees a byte-identical stream. The comparisons
+  // are written so that a NaN ε opens the window to the whole page.
+  // Counters are charged for the full nr·ns scan — the window can never
+  // show up in a reported number.
+  const double reach = std::fabs(eps_) * kWindowSlack;
   uint8_t mask[kJoinTile];
-  for (uint32_t i = 0; i < nr; ++i) {
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  for (uint32_t i = 0; i < r_block.count; ++i) {
     const float* x = r_block.data + uint64_t(i) * r_block.stride;
+    const double from = x[0] - reach;
+    const double to = x[0] + reach;
+    while (lo < s_block.count && FirstCoordinate(s_block, lo) < from) ++lo;
+    while (hi < s_block.count && !(FirstCoordinate(s_block, hi) > to)) ++hi;
     const uint64_t xid = r_->OriginalId(r_page, i);
-    for (uint32_t tile_start = 0; tile_start < ns; tile_start += kJoinTile) {
-      const uint32_t tile_count = std::min(kJoinTile, ns - tile_start);
+    for (uint32_t tile_start = lo; tile_start < hi; tile_start += kJoinTile) {
+      const uint32_t tile_count = std::min(kJoinTile, hi - tile_start);
       const kernels::BlockView tile{
           s_block.data + uint64_t(tile_start) * s_block.stride, tile_count,
           s_block.stride};
@@ -62,7 +97,7 @@ void VectorPairJoiner::JoinPages(uint32_t r_page, uint32_t s_page,
     }
   }
   if (ops != nullptr)
-    ops->distance_terms += uint64_t(nr) * ns * dims;
+    ops->distance_terms += uint64_t(r_block.count) * s_block.count * dims;
 }
 
 void VectorPairJoiner::ChargeScanned(uint32_t r_page, uint32_t s_page,

@@ -63,8 +63,9 @@ struct JoinInput {
 /// unordered pair is emitted once (orig_id_r < orig_id_s).
 ///
 /// CPU accounting: every record pair costs `dims` distance terms (the
-/// deterministic full-evaluation cost; the implementation may early-abandon
-/// for wall time, the charge does not depend on it).
+/// deterministic full-evaluation cost; the implementation sweeps each
+/// page pair in coordinate-0 order and evaluates only the pairs within ε
+/// in that coordinate, and the charge does not depend on it).
 class VectorPairJoiner : public PagePairJoiner {
  public:
   VectorPairJoiner(const VectorDataset* r, const VectorDataset* s, double eps,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "index/str_bulk_load.h"
 #include "io/wire.h"
@@ -14,7 +16,39 @@ namespace {
 /// Metadata sidecar format version tag ("PMJVDS" + version byte pair).
 constexpr uint64_t kVectorMetaMagic = 0x31305344564A4D50ULL;  // "PMJVDS01"
 
+bool AllFinite(std::span<const float> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](float v) { return std::isfinite(v); });
+}
+
 }  // namespace
+
+void VectorDataset::SortPages() {
+  std::vector<uint32_t> perm;
+  std::vector<float> rows;
+  std::vector<uint64_t> ids;
+  for (uint32_t p = 0; p < num_pages(); ++p) {
+    const uint32_t cnt = PageRecordCount(p);
+    const uint64_t first = uint64_t(p) * records_per_page_;
+    float* page = packed_.data() + first * stride_;
+    uint64_t* page_ids = orig_ids_.data() + first;
+    perm.resize(cnt);
+    std::iota(perm.begin(), perm.end(), 0u);
+    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+      return page[size_t(a) * stride_] < page[size_t(b) * stride_];
+    });
+    rows.assign(page, page + size_t(cnt) * stride_);
+    ids.assign(page_ids, page_ids + cnt);
+    for (uint32_t k = 0; k < cnt; ++k) {
+      std::copy_n(rows.data() + size_t(perm[k]) * stride_, stride_,
+                  page + size_t(k) * stride_);
+      page_ids[k] = ids[perm[k]];
+    }
+  }
+  origin_pos_.resize(orig_ids_.size());
+  for (uint64_t pos = 0; pos < orig_ids_.size(); ++pos)
+    origin_pos_[orig_ids_[pos]] = pos;
+}
 
 Result<VectorDataset> VectorDataset::Build(StorageBackend* disk,
                                            std::string_view name,
@@ -25,6 +59,8 @@ Result<VectorDataset> VectorDataset::Build(StorageBackend* disk,
     return Status::InvalidArgument("VectorDataset: empty data");
   if (data.values.size() % data.dims != 0)
     return Status::InvalidArgument("VectorDataset: ragged data");
+  if (!AllFinite(data.values))
+    return Status::InvalidArgument("VectorDataset: non-finite coordinate");
   const uint32_t rpp = static_cast<uint32_t>(
       options.page_size_bytes / (data.dims * sizeof(float)));
   if (rpp == 0)
@@ -61,7 +97,6 @@ Result<VectorDataset> VectorDataset::Build(StorageBackend* disk,
   // contribute nothing to any supported norm.
   ds.packed_.assign(num_pages * size_t(rpp) * ds.stride_, 0.0f);
   ds.orig_ids_.reserve(n);
-  ds.origin_pos_.resize(n);
   ds.page_mbrs_.reserve(num_pages);
   std::vector<RStarTree::Entry> leaf_entries;
   leaf_entries.reserve(num_pages);
@@ -72,7 +107,6 @@ Result<VectorDataset> VectorDataset::Build(StorageBackend* disk,
     for (size_t i = p * rpp; i < end; ++i) {
       const uint32_t orig = order[i];
       const std::span<const float> rec(data.record(orig), data.dims);
-      ds.origin_pos_[orig] = ds.orig_ids_.size();
       ds.orig_ids_.push_back(orig);
       std::copy(rec.begin(), rec.end(),
                 ds.packed_.begin() + i * ds.stride_);
@@ -82,6 +116,7 @@ Result<VectorDataset> VectorDataset::Build(StorageBackend* disk,
         RStarTree::Entry{page_mbr, static_cast<uint32_t>(p)});
     ds.page_mbrs_.push_back(std::move(page_mbr));
   }
+  ds.SortPages();
 
   ds.tree_ = RStarTree::BulkLoadStr(data.dims, std::move(leaf_entries));
   ds.file_id_ = disk->CreateFile(
@@ -104,7 +139,7 @@ Status VectorDataset::Persist(StorageBackend* disk) const {
         "Persist: dataset page does not fit a backend page");
   const std::string& name = disk->file(file_id_).name;
 
-  // Data pages: the records of page p, unpadded, in packed order.
+  // Data pages: the records of page p, unpadded, in slot order.
   std::vector<uint8_t> payload(size_t(records_per_page_) * record_bytes);
   for (uint32_t p = 0; p < num_pages(); ++p) {
     const uint32_t cnt = PageRecordCount(p);
@@ -155,14 +190,23 @@ Result<VectorDataset> VectorDataset::Open(StorageBackend* disk,
                        ds.records_per_page_ ||
       num_records > (blob.size() / 8))
     return Status::Corruption("VectorDataset: bad metadata header");
+  // A page must hold its records: this bounds the allocation below and
+  // every record copy out of the page-sized payload buffer.
+  const size_t page_bytes = disk->page_size_bytes();
+  if (ds.dims_ > page_bytes / sizeof(float) ||
+      ds.records_per_page_ > page_bytes / (ds.dims_ * sizeof(float)))
+    return Status::Corruption(
+        "VectorDataset: page geometry exceeds the backend page");
   ds.orig_ids_.resize(num_records);
-  ds.origin_pos_.resize(num_records);
+  std::vector<uint8_t> seen(num_records, 0);
   for (uint64_t i = 0; i < num_records; ++i) {
     const uint64_t id = r.U64();
     if (id >= num_records)
       return Status::Corruption("VectorDataset: original id out of range");
+    if (seen[id] != 0)
+      return Status::Corruption("VectorDataset: repeated original id");
+    seen[id] = 1;
     ds.orig_ids_[i] = id;
-    ds.origin_pos_[id] = i;
   }
   if (!r.ok) return Status::Corruption("VectorDataset: truncated metadata");
 
@@ -177,7 +221,7 @@ Result<VectorDataset> VectorDataset::Open(StorageBackend* disk,
   ds.page_mbrs_.reserve(num_pages);
   std::vector<RStarTree::Entry> leaf_entries;
   leaf_entries.reserve(num_pages);
-  std::vector<uint8_t> payload(disk->page_size_bytes());
+  std::vector<uint8_t> payload(page_bytes);
   for (uint32_t p = 0; p < num_pages; ++p) {
     PMJOIN_RETURN_IF_ERROR(disk->ReadPagePayload({data_file, p}, payload));
     Mbr page_mbr(ds.dims_);
@@ -187,11 +231,15 @@ Result<VectorDataset> VectorDataset::Open(StorageBackend* disk,
                    (uint64_t(p) * ds.records_per_page_ + s) * ds.stride_;
       std::memcpy(row, payload.data() + size_t(s) * record_bytes,
                   record_bytes);
-      page_mbr.Expand(std::span<const float>(row, ds.dims_));
+      const std::span<const float> rec(row, ds.dims_);
+      if (!AllFinite(rec))
+        return Status::Corruption("VectorDataset: non-finite coordinate");
+      page_mbr.Expand(rec);
     }
     leaf_entries.push_back(RStarTree::Entry{page_mbr, p});
     ds.page_mbrs_.push_back(std::move(page_mbr));
   }
+  ds.SortPages();
   ds.tree_ = RStarTree::BulkLoadStr(ds.dims_, std::move(leaf_entries));
   ds.tree_.AttachFile(disk, std::string(name) + ".idx");
   return ds;

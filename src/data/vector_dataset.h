@@ -35,15 +35,19 @@ class VectorDataset {
     uint32_t page_size_bytes = 4096;
   };
 
-  /// Builds the dataset on `disk`. Fails if a page cannot hold at least
-  /// one record or `data` is empty.
+  /// Builds the dataset on `disk`. Fails with InvalidArgument if a page
+  /// cannot hold at least one record, `data` is empty, or a coordinate is
+  /// not finite (NaN or ±infinity: the in-page sort needs a strict weak
+  /// order, and a NaN distance would pass every threshold test).
   static Result<VectorDataset> Build(StorageBackend* disk,
                                      std::string_view name, VectorData data,
                                      Options options);
 
   /// Writes the dataset's payload bytes to its backend file plus a
   /// `<name>.meta` sidecar file, so `Open` can restore it later (from a
-  /// fresh process when the backend is persistent). Build itself charges
+  /// fresh process when the backend is persistent). Each data page holds
+  /// its records unpadded in slot order (ascending coordinate 0), and the
+  /// sidecar their original ids in the same order. Build itself charges
   /// no payload writes — persisting is an explicit, separately-charged
   /// step — so a join's modeled I/O is unchanged by whether the dataset
   /// was persisted. `disk` must be the backend the dataset was built on.
@@ -54,7 +58,11 @@ class VectorDataset {
   /// bit-identically to the original build (floats round-trip exactly;
   /// every derived structure is recomputed by the same deterministic
   /// code), so joins against a reopened dataset match the fresh build
-  /// byte for byte.
+  /// byte for byte. Open re-applies Build's stable in-page sort, so pages
+  /// persisted in their older, unsorted STR order reopen to the same
+  /// layout as a fresh build. A sidecar whose page geometry does not fit
+  /// a backend page, that repeats an original id, or a page holding a
+  /// non-finite coordinate yields Corruption.
   static Result<VectorDataset> Open(StorageBackend* disk,
                                     std::string_view name);
 
@@ -79,12 +87,20 @@ class VectorDataset {
 
   /// Contiguous row-major view of page `page` for the batch distance
   /// kernels: `data` points at the page's first record, consecutive
-  /// records are `stride` floats apart, and `stride` is dims() rounded up
-  /// to the SIMD lane width (`kernels::PaddedWidth`) with the padding
-  /// zero-filled — so a kernel can accumulate straight through `stride`
-  /// terms per record without a tail loop and without changing any
-  /// distance. Records of a page are guaranteed adjacent (slot s starts
-  /// exactly `s * stride` floats after slot 0).
+  /// records are `stride` floats apart, and `stride` is
+  /// `kernels::PaddedWidth(dims())` (1, 2 or 4 floats below 8 dims, a
+  /// multiple of 8 above) with the padding zero-filled — so a kernel can
+  /// accumulate straight through `stride` terms per record without a tail
+  /// loop and without changing any distance. Records of a page are
+  /// guaranteed adjacent (slot s starts exactly `s * stride` floats after
+  /// slot 0).
+  ///
+  /// Sorted-page invariant: a page's slots ascend in coordinate 0
+  /// (`data[s * stride]`), ties kept in STR order. Build sorts each page
+  /// and Open re-sorts it; VectorPairJoiner's sort-sweep relies on it and
+  /// paranoid builds check it on every page pair joined. The invariant
+  /// permutes slots within a page only: which records share a page, and
+  /// so every page MBR, is decided by STR packing alone.
   kernels::BlockView PageBlock(uint32_t page) const {
     return kernels::BlockView{
         packed_.data() + uint64_t(page) * records_per_page_ * stride_,
@@ -113,6 +129,10 @@ class VectorDataset {
 
  private:
   VectorDataset() : tree_(1) {}
+
+  /// Stable-sorts every page's rows and original ids by coordinate 0 (the
+  /// sorted-page invariant of PageBlock), then rebuilds origin_pos_.
+  void SortPages();
 
   size_t dims_ = 0;
   uint32_t records_per_page_ = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <type_traits>
 
 #ifdef __AVX2__
 #include <immintrin.h>
@@ -55,8 +56,8 @@ inline Thresholds MakeThresholds(Norm norm, size_t dims, double eps) {
 
 /// Float statistic over exactly `n` terms, `n` known at compile time where
 /// it matters (the padded-width dispatch below instantiates W in
-/// {8, 16, 32, 64}). Plain contiguous loops: with a constant trip count a
-/// multiple of the lane width, these fully unroll and vectorize.
+/// {1, 2, 4, 8, 16, 32, 64}). Plain contiguous loops: with a constant trip
+/// count these fully unroll, and lane multiples vectorize.
 template <Norm N>
 inline float FloatStat(const float* PMJOIN_RESTRICT a,
                        const float* PMJOIN_RESTRICT b, size_t n) {
@@ -109,21 +110,19 @@ inline float FloatStatAvx2(const float* PMJOIN_RESTRICT a,
   return _mm_cvtss_f32(r);
 }
 
-template <Norm N>
-inline float PaddedStat(const float* PMJOIN_RESTRICT a,
-                        const float* PMJOIN_RESTRICT b, size_t n) {
-  return FloatStatAvx2<N>(a, b, n);
-}
-
-#else
-
-template <Norm N>
-inline float PaddedStat(const float* PMJOIN_RESTRICT a,
-                        const float* PMJOIN_RESTRICT b, size_t n) {
-  return FloatStat<N>(a, b, n);
-}
-
 #endif  // __AVX2__
+
+/// Float statistic of one row at compile-time padded width W: lane
+/// multiples take the explicit 8-lane path when the build has it, the
+/// narrow widths (1, 2, 4) the unrolled plain loop.
+template <Norm N, uint32_t W>
+inline float PaddedStat(const float* PMJOIN_RESTRICT a,
+                        const float* PMJOIN_RESTRICT b) {
+#ifdef __AVX2__
+  if constexpr (W % kLaneFloats == 0) return FloatStatAvx2<N>(a, b, W);
+#endif
+  return FloatStat<N>(a, b, W);
+}
 
 /// Float statistic with per-tile early abandoning for wide records: the
 /// accumulation is checked against the reject bound every
@@ -185,16 +184,18 @@ uint32_t BlockFixed(const float* PMJOIN_RESTRICT query,
   const float* PMJOIN_RESTRICT rows = block.data;
   uint32_t within = 0;
   for (uint32_t j = 0; j < block.count; ++j) {
-    const float stat = PaddedStat<N>(query, rows + size_t(j) * W, W);
-    const uint8_t bit = Decide<N>(stat, t, query, rows + size_t(j) * W, dims);
+    const float* row = rows + size_t(j) * W;
+    const uint8_t bit = Decide<N>(PaddedStat<N, W>(query, row), t, query,
+                                  row, dims);
     within += bit;
     if (mask != nullptr) mask[j] = bit;
   }
   return within;
 }
 
-/// Runtime-width fallback (padded strides wider than 64, and unpadded
-/// blocks such as EGO's sorted feature rows, where stride == dims).
+/// Runtime-width fallback for strides without a compile-time kernel:
+/// padded strides wider than 64, and unpadded blocks such as EGO's sorted
+/// feature rows (stride == dims) at an odd width.
 template <Norm N>
 uint32_t BlockGeneric(const float* PMJOIN_RESTRICT query,
                       const BlockView& block, size_t dims,
@@ -235,7 +236,7 @@ uint32_t KnnFixed(const float* PMJOIN_RESTRICT query, const BlockView& block,
   uint32_t exact = 0;
   for (uint32_t j = 0; j < block.count; ++j) {
     const float* row = rows + size_t(j) * W;
-    const float stat = PaddedStat<N>(query, row, W);
+    const float stat = PaddedStat<N, W>(query, row);
     if (static_cast<double>(stat) >= reject_hi) {
       stats[j] = std::numeric_limits<double>::infinity();
       continue;
@@ -270,6 +271,32 @@ uint32_t KnnGeneric(const float* PMJOIN_RESTRICT query,
   return exact;
 }
 
+/// The padded-width dispatch: calls `fixed` with a
+/// std::integral_constant carrying the stride for every stride with a
+/// compile-time kernel (the PaddedWidth values up to 64), `generic`
+/// otherwise.
+template <typename Fixed, typename Generic>
+inline uint32_t ByStride(uint32_t stride, Fixed&& fixed, Generic&& generic) {
+  switch (stride) {
+    case 1:
+      return fixed(std::integral_constant<uint32_t, 1>{});
+    case 2:
+      return fixed(std::integral_constant<uint32_t, 2>{});
+    case 4:
+      return fixed(std::integral_constant<uint32_t, 4>{});
+    case 8:
+      return fixed(std::integral_constant<uint32_t, 8>{});
+    case 16:
+      return fixed(std::integral_constant<uint32_t, 16>{});
+    case 32:
+      return fixed(std::integral_constant<uint32_t, 32>{});
+    case 64:
+      return fixed(std::integral_constant<uint32_t, 64>{});
+    default:
+      return generic();
+  }
+}
+
 template <Norm N>
 uint32_t KnnDispatch(const float* query, const BlockView& block, size_t dims,
                      double bound_stat, double* stats) {
@@ -283,36 +310,25 @@ uint32_t KnnDispatch(const float* query, const BlockView& block, size_t dims,
     return block.count;
   }
   const double reject_hi = bound_stat + ErrorBand(dims, bound_stat);
-  switch (block.stride) {
-    case 8:
-      return KnnFixed<N, 8>(query, block, dims, reject_hi, stats);
-    case 16:
-      return KnnFixed<N, 16>(query, block, dims, reject_hi, stats);
-    case 32:
-      return KnnFixed<N, 32>(query, block, dims, reject_hi, stats);
-    case 64:
-      return KnnFixed<N, 64>(query, block, dims, reject_hi, stats);
-    default:
-      return KnnGeneric<N>(query, block, dims, reject_hi, stats);
-  }
+  return ByStride(
+      block.stride,
+      [&](auto w) {
+        return KnnFixed<N, decltype(w)::value>(query, block, dims, reject_hi,
+                                               stats);
+      },
+      [&] { return KnnGeneric<N>(query, block, dims, reject_hi, stats); });
 }
 
 template <Norm N>
 uint32_t BlockDispatch(const float* query, const BlockView& block,
                        size_t dims, double eps, uint8_t* mask) {
   const Thresholds t = MakeThresholds(N, dims, eps);
-  switch (block.stride) {
-    case 8:
-      return BlockFixed<N, 8>(query, block, dims, t, mask);
-    case 16:
-      return BlockFixed<N, 16>(query, block, dims, t, mask);
-    case 32:
-      return BlockFixed<N, 32>(query, block, dims, t, mask);
-    case 64:
-      return BlockFixed<N, 64>(query, block, dims, t, mask);
-    default:
-      return BlockGeneric<N>(query, block, dims, t, mask);
-  }
+  return ByStride(
+      block.stride,
+      [&](auto w) {
+        return BlockFixed<N, decltype(w)::value>(query, block, dims, t, mask);
+      },
+      [&] { return BlockGeneric<N>(query, block, dims, t, mask); });
 }
 
 uint32_t NormDispatch(const float* query, const BlockView& block,

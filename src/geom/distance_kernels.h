@@ -1,6 +1,7 @@
 #ifndef PMJOIN_GEOM_DISTANCE_KERNELS_H_
 #define PMJOIN_GEOM_DISTANCE_KERNELS_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -30,7 +31,7 @@ namespace kernels {
 
 /// A contiguous row-major block of records. `stride` is the float distance
 /// between consecutive records and may exceed `dims` (padded layouts, e.g.
-/// VectorDataset::PageBlock pads to the SIMD lane width); rows must be
+/// VectorDataset::PageBlock's `PaddedWidth` rows); rows must be
 /// zero-filled between `dims` and `stride`.
 struct BlockView {
   const float* data = nullptr;
@@ -38,12 +39,15 @@ struct BlockView {
   uint32_t stride = 0;
 };
 
-/// The lane width (floats) that padded layouts round the record stride up
-/// to. 8 floats = one 256-bit vector register.
+/// The SIMD lane width in floats: 8 floats = one 256-bit vector register.
 inline constexpr uint32_t kLaneFloats = 8;
 
-/// Rounds a record width up to the SIMD lane width.
+/// The padded row stride for `dims`-float records: the next power of two
+/// below one lane (1, 2 or 4 floats, so a 2-d point is two floats, not
+/// eight), a multiple of the lane width from there on. Every narrow and
+/// every lane-multiple stride up to 64 has a compile-time kernel.
 inline constexpr uint32_t PaddedWidth(size_t dims) {
+  if (dims < kLaneFloats) return static_cast<uint32_t>(std::bit_ceil(dims));
   return static_cast<uint32_t>((dims + kLaneFloats - 1) / kLaneFloats) *
          kLaneFloats;
 }

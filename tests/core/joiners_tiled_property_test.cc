@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -144,15 +145,18 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Norm::kL1, Norm::kL2, Norm::kLInf),
         ::testing::Values(
-            // dims spanning the compile-time widths (8, 16, 64 via
-            // padding of 3/13/33/64) and page shapes including
-            // single-record pages and a short last page.
+            // dims covering every stride path — the narrow widths 1, 2
+            // and 4 (d = 1, 2, 4, and 3 padded), the lane widths 8, 16
+            // and 64 (d = 8, 13, 16, 64), the generic path (d = 33 pads
+            // to 40) — and page shapes including single-record pages and
+            // a short last page.
+            JoinCase{1, 120, 16}, JoinCase{2, 300, 64}, JoinCase{4, 90, 11},
             JoinCase{3, 101, 7}, JoinCase{8, 96, 32}, JoinCase{13, 40, 1},
             JoinCase{16, 130, 9}, JoinCase{33, 65, 5},
             JoinCase{64, 48, 16},
             // More records per page than one kernel tile (256), so a
-            // single scan spans multiple tiles.
-            JoinCase{3, 650, 300})),
+            // single sweep window spans multiple tiles.
+            JoinCase{3, 650, 300}, JoinCase{2, 700, 600})),
     CaseName);
 
 /// Boundary thresholds: eps equal to an exact record-pair distance lands
@@ -189,6 +193,78 @@ TEST(TiledJoinBoundaryTest, ExactBoundaryEpsMatchesScalarReference) {
               << sp;
           ASSERT_EQ(tiled_ops, ref_ops);
         }
+      }
+    }
+  }
+}
+
+/// Records on a grid of coordinate-0 keys (multiples of 1/8, `keys`
+/// distinct values, each repeated), every other coordinate 0.5 except in
+/// every third repeat, where it is 0.5625 — so many pairs have a
+/// coordinate-0 gap of exactly a grid multiple and all other coordinates
+/// equal, and every key is shared by several records.
+VectorData GridRecords(uint32_t count, size_t dims, uint32_t keys) {
+  VectorData data;
+  data.dims = dims;
+  for (uint32_t i = 0; i < count; ++i) {
+    data.values.push_back(static_cast<float>(i % keys) * 0.125f);
+    const float rest = (i / keys) % 3 == 2 ? 0.5625f : 0.5f;
+    for (size_t d = 1; d < dims; ++d) data.values.push_back(rest);
+  }
+  return data;
+}
+
+/// Sweep-window edges under every norm: pairs whose coordinate-0 gap is
+/// exactly ε with every other coordinate equal (they sit on the window
+/// edge, and the reference accepts them), duplicate coordinate-0 keys
+/// (several records per key, split across pages), and windows wider than
+/// one kernel tile (a page of 400 records over four keys).
+TEST(SweepWindowEdgeTest, MatchesScalarReferenceUnderEveryNorm) {
+  struct Shape {
+    uint32_t count;
+    uint32_t keys;
+    uint32_t records_per_page;
+  };
+  for (const Shape shape : {Shape{144, 16, 5}, Shape{400, 4, 400}}) {
+    for (const size_t dims : {1u, 2u, 3u, 9u}) {
+      SimulatedDisk disk;
+      VectorDataset::Options options;
+      options.page_size_bytes =
+          static_cast<uint32_t>(shape.records_per_page * dims * sizeof(float));
+      const VectorData data = GridRecords(shape.count, dims, shape.keys);
+      auto r = VectorDataset::Build(&disk, "r", data, options);
+      auto s = VectorDataset::Build(&disk, "s", data, options);
+      ASSERT_TRUE(r.ok());
+      ASSERT_TRUE(s.ok());
+      for (const Norm norm : {Norm::kL1, Norm::kL2, Norm::kLInf}) {
+        // A gap of exactly two grid steps, and the neighbouring doubles.
+        std::vector<uint64_t> pairs_at;
+        for (const double eps : {std::nextafter(0.25, 0.0), 0.25,
+                                 std::nextafter(0.25, 1.0), 0.0}) {
+          for (const bool self : {false, true}) {
+            const VectorDataset& other = self ? *r : *s;
+            VectorPairJoiner joiner(&*r, &other, eps, norm, self);
+            uint64_t pairs = 0;
+            for (uint32_t rp = 0; rp < r->num_pages(); ++rp) {
+              for (uint32_t sp = 0; sp < other.num_pages(); ++sp) {
+                CollectingSink sweep_sink, ref_sink;
+                OpCounters sweep_ops, ref_ops;
+                joiner.JoinPages(rp, sp, &sweep_sink, &sweep_ops);
+                ScalarReferenceJoinPages(*r, other, eps, norm, self, rp, sp,
+                                         &ref_sink, &ref_ops);
+                ASSERT_EQ(sweep_sink.pairs(), ref_sink.pairs())
+                    << NormName(norm) << " d" << dims << " eps=" << eps
+                    << " self=" << self << " pages " << rp << "," << sp;
+                ASSERT_EQ(sweep_ops, ref_ops);
+                pairs += ref_sink.pairs().size();
+              }
+            }
+            if (!self) pairs_at.push_back(pairs);
+          }
+        }
+        // The exact-gap pairs are accepted at ε = 0.25 and not just below.
+        EXPECT_GT(pairs_at[1], pairs_at[0]) << NormName(norm) << " d" << dims;
+        EXPECT_GT(pairs_at[3], 0u) << "duplicate records at ε = 0";
       }
     }
   }

@@ -103,19 +103,16 @@ TEST(KnnCandidateMatrixTest, BuildSortsRowsAndPassesAudit) {
 TEST(KnnJoinPropertyTest, MatchesReferenceAcrossKDimsNorms) {
   auto disk = MakeTestBackend();
   JoinDriver driver(disk.get());
-  for (const size_t dims : {3u, 16u, 64u}) {
+  for (const size_t dims : {1u, 2u, 3u, 16u, 64u}) {
     const VectorData r_raw = GenUniform(90, dims, /*seed=*/7);
     const VectorData s_raw = GenUniform(120, dims, /*seed=*/8);
     VectorDataset::Options layout;
     layout.page_size_bytes = 1024;
-    VectorDataset r = VectorDataset::Build(disk.get(),
-                                           "r" + std::to_string(dims), r_raw,
-                                           layout)
-                          .value();
-    VectorDataset s = VectorDataset::Build(disk.get(),
-                                           "s" + std::to_string(dims), s_raw,
-                                           layout)
-                          .value();
+    const std::string tag = std::to_string(dims);
+    VectorDataset r =
+        VectorDataset::Build(disk.get(), "r" + tag, r_raw, layout).value();
+    VectorDataset s =
+        VectorDataset::Build(disk.get(), "s" + tag, s_raw, layout).value();
     for (const uint32_t k : {1u, 4u, 16u}) {
       for (const Norm norm : {Norm::kL1, Norm::kL2, Norm::kLInf}) {
         JoinOptions options;

@@ -1,6 +1,8 @@
 #include "geom/distance_kernels.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -53,7 +55,8 @@ class KernelDecisionTest : public ::testing::TestWithParam<Norm> {};
 TEST_P(KernelDecisionTest, MaskMatchesScalarReferenceAcrossDims) {
   const Norm norm = GetParam();
   Rng rng(101);
-  for (const size_t dims : {1u, 3u, 8u, 13u, 16u, 33u, 64u, 70u, 129u}) {
+  for (const size_t dims :
+       {1u, 2u, 3u, 4u, 5u, 8u, 13u, 16u, 33u, 64u, 70u, 129u}) {
     const TestBlock block(&rng, 97, dims);
     for (int trial = 0; trial < 8; ++trial) {
       const auto query = RandomPoint(&rng, dims);
@@ -84,6 +87,41 @@ TEST_P(KernelDecisionTest, MaskMatchesScalarReferenceAcrossDims) {
       EXPECT_EQ(kernels::CountWithinBlock(padded.data(), block.view, dims,
                                           norm, eps),
                 expect_count);
+    }
+  }
+}
+
+/// kNN candidate pass at every dispatched width: a row is dropped only
+/// when its exact statistic exceeds the bound, and every kept row carries
+/// the exact scalar statistic.
+TEST_P(KernelDecisionTest, KnnCandidatesMatchScalarReferenceAcrossDims) {
+  const Norm norm = GetParam();
+  Rng rng(163);
+  for (const size_t dims : {1u, 2u, 3u, 4u, 6u, 8u, 13u, 64u, 70u}) {
+    const TestBlock block(&rng, 61, dims);
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto query = RandomPoint(&rng, dims);
+      const auto padded = PaddedQuery(query, block.view.stride);
+      // Bounds placed exactly on a row's statistic (the boundary row must
+      // survive) and at random.
+      const double bound =
+          trial % 2 == 0
+              ? DistanceStat(query, block.points[rng.Uniform(61)], norm)
+              : rng.UniformDouble() * DistanceStat(query, block.points[0],
+                                                   norm);
+      std::vector<double> stats(block.view.count);
+      kernels::KnnCandidateBlock(padded.data(), block.view, dims, norm, bound,
+                                 stats.data());
+      for (uint32_t j = 0; j < block.view.count; ++j) {
+        const double exact = DistanceStat(query, block.points[j], norm);
+        if (std::isinf(stats[j])) {
+          EXPECT_GT(exact, bound) << NormName(norm) << " dims=" << dims
+                                  << " row=" << j << " dropped";
+        } else {
+          EXPECT_EQ(stats[j], exact)
+              << NormName(norm) << " dims=" << dims << " row=" << j;
+        }
+      }
     }
   }
 }
@@ -180,7 +218,14 @@ INSTANTIATE_TEST_SUITE_P(AllNorms, KernelDecisionTest,
                          });
 
 TEST(KernelLayoutTest, PaddedWidthRoundsUpToLaneMultiples) {
-  EXPECT_EQ(kernels::PaddedWidth(1), 8u);
+  // Below one lane: the next power of two (a 2-d point stays 2 floats).
+  EXPECT_EQ(kernels::PaddedWidth(1), 1u);
+  EXPECT_EQ(kernels::PaddedWidth(2), 2u);
+  EXPECT_EQ(kernels::PaddedWidth(3), 4u);
+  EXPECT_EQ(kernels::PaddedWidth(4), 4u);
+  EXPECT_EQ(kernels::PaddedWidth(5), 8u);
+  EXPECT_EQ(kernels::PaddedWidth(7), 8u);
+  // From one lane on: the next lane multiple.
   EXPECT_EQ(kernels::PaddedWidth(8), 8u);
   EXPECT_EQ(kernels::PaddedWidth(9), 16u);
   EXPECT_EQ(kernels::PaddedWidth(16), 16u);
@@ -188,9 +233,15 @@ TEST(KernelLayoutTest, PaddedWidthRoundsUpToLaneMultiples) {
   EXPECT_EQ(kernels::PaddedWidth(64), 64u);
   EXPECT_EQ(kernels::PaddedWidth(65), 72u);
   for (size_t d = 1; d <= 200; ++d) {
-    EXPECT_EQ(kernels::PaddedWidth(d) % kernels::kLaneFloats, 0u);
-    EXPECT_GE(kernels::PaddedWidth(d), d);
-    EXPECT_LT(kernels::PaddedWidth(d), d + kernels::kLaneFloats);
+    const uint32_t width = kernels::PaddedWidth(d);
+    EXPECT_GE(width, d);
+    if (d < kernels::kLaneFloats) {
+      EXPECT_TRUE(std::has_single_bit(width)) << d;
+      EXPECT_LT(width, 2 * d) << d;
+    } else {
+      EXPECT_EQ(width % kernels::kLaneFloats, 0u) << d;
+      EXPECT_LT(width, d + kernels::kLaneFloats) << d;
+    }
   }
 }
 

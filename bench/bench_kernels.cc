@@ -5,13 +5,12 @@
 // sweep. These guard the constants behind the CPU cost model
 // (common/cost_model.h).
 //
-// The binary also carries four harness sweeps run before the
+// The binary also carries three harness sweeps run before the
 // google-benchmark suite: the distance-kernel sweep (scalar reference vs
 // the batched kernel layer, per norm x dims), the file-backend
-// cluster-join sweep (sync vs async read pipeline, wall-clock), the
+// cluster-join sweep (sync vs async read pipeline, wall-clock), and the
 // kNN-join sweep (adaptive-eps pruning vs brute-force page expansion at
-// k = 8), and the sharding sweep (cut weight, replication, and modeled
-// per-shard I/O efficiency at 1/2/4/8 shards). In --json mode the
+// k = 8). In --json mode the
 // sweeps' rows are mirrored to BENCH_kernels.json so CI's bench-smoke
 // job can diff them against bench/BENCH_kernels.baseline.json with
 // tools/bench_compare.py.
@@ -45,8 +44,6 @@
 #include "core/knn_join.h"
 #include "core/plane_sweep.h"
 #include "core/scheduler.h"
-#include "core/shard_coordinator.h"
-#include "core/shard_planner.h"
 #include "core/square_clustering.h"
 #include "data/generators.h"
 #include "data/vector_dataset.h"
@@ -284,7 +281,8 @@ class ClusterJoinFixture {
 /// I/O counters are exported per run and must be identical across thread
 /// counts — only wall-clock time may differ. Workers come from one
 /// external pool reused across iterations, so per-iteration cost excludes
-/// thread startup (matching a driver that keeps a pool alive).
+/// thread startup. No library caller passes a pool today (each join
+/// builds its own per call), so this isolates the executor from that cost.
 void BM_ClusterJoinExecutor(benchmark::State& state) {
   ClusterJoinFixture& fixture = ClusterJoinFixture::Get();
   const auto threads = static_cast<uint32_t>(state.range(0));
@@ -882,114 +880,6 @@ std::vector<std::pair<double, uint64_t>> FlattenNeighbors(
   return out;
 }
 
-// Sharding sweep: one canonical clustered execution, charged per cluster,
-// then the shard planner's partition at 1/2/4/8 shards with each shard's
-// isolated modeled replay. The table reports the replication-vs-balance
-// trade: cut weight, replicated pages, and "efficiency" — single-node
-// cluster reads over the sum of per-shard isolated reads (1.0 = sharding
-// is free, lower = replication overhead). The execution itself is
-// shard-invariant, so every row prices the same join.
-void RunShardingSweep(const bench::BenchArgs& args) {
-  constexpr uint32_t kPage = 1024;
-  constexpr uint32_t kBufferPages = 16;
-  const size_t n = args.quick ? 4000 : 12000;
-
-  SimulatedDisk disk;
-  VectorDataset::Options ds_options;
-  ds_options.page_size_bytes = kPage;
-  const VectorData points = GenRoadNetwork(n, 0x0AD);
-  auto r = VectorDataset::Build(&disk, "shard_r", points, ds_options).value();
-  const double eps =
-      bench::CalibratePageEps(r, r, /*target_selectivity=*/0.10, Norm::kL2, 7);
-
-  VectorPairJoiner joiner(&r, &r, eps, Norm::kL2, /*self_join=*/true);
-  JoinInput input;
-  input.r_file = r.file_id();
-  input.s_file = r.file_id();
-  input.r_pages = r.num_pages();
-  input.s_pages = r.num_pages();
-  input.self_join = true;
-  input.joiner = &joiner;
-  const PredictionMatrix matrix = BuildPredictionMatrixHierarchical(
-      r.tree(), r.tree(), r.num_pages(), r.num_pages(), eps, Norm::kL2,
-      /*filter_iterations=*/2, nullptr);
-  const std::vector<Cluster> clusters =
-      SquareClustering(matrix, kBufferPages, nullptr);
-  const std::vector<uint32_t> order =
-      ScheduleClusters(clusters, input, nullptr);
-
-  BufferPool pool(&disk, kBufferPages);
-  CountingSink sink;
-  OpCounters ops;
-  std::vector<ClusterCharge> charges(clusters.size());
-  ExecutorOptions exec_options;
-  exec_options.cluster_charges = &charges;
-  const IoStats io_before = disk.stats();
-  const Status status = ExecuteClusteredJoin(input, clusters, order, &pool,
-                                             &sink, &ops, exec_options);
-  if (!status.ok()) {
-    std::fprintf(stderr, "sharding: %s\n", status.ToString().c_str());
-    return;
-  }
-  const IoStats join_io = disk.stats().Delta(io_before);
-  IoStats charged;
-  for (const ClusterCharge& charge : charges) charged += charge.io;
-  if (charged.pages_read != join_io.pages_read) {
-    std::fprintf(stderr,
-                 "FATAL: sharding: per-cluster charges sum to %llu reads "
-                 "but the execution read %llu (exact attribution broken)\n",
-                 static_cast<unsigned long long>(charged.pages_read),
-                 static_cast<unsigned long long>(join_io.pages_read));
-    std::exit(1);
-  }
-
-  bench::PrintTableHeader(
-      "sharding", {"cut_weight", "replicated_pages", "sum_modeled_reads",
-                   "single_node_reads", "efficiency", "balance"});
-
-  for (const uint32_t num_shards : {1u, 2u, 4u, 8u}) {
-    ShardPlan plan = PlanShards(clusters, input, num_shards);
-    AttributeCharges(charges, &plan);
-    uint64_t modeled_reads = 0;
-    for (uint32_t s = 0; s < plan.num_shards; ++s) {
-      const std::vector<uint32_t> sub = ShardSubOrder(plan, order, s);
-      Result<IoStats> replayed =
-          ReplayShardModeledIo(input, clusters, sub, disk, kBufferPages);
-      if (!replayed.ok()) {
-        std::fprintf(stderr, "sharding: %s\n",
-                     replayed.status().ToString().c_str());
-        return;
-      }
-      modeled_reads += replayed->pages_read;
-    }
-    if (num_shards == 1 && modeled_reads != join_io.pages_read) {
-      // One shard's replay is the execution itself: same order, same
-      // pool size, same page sets.
-      std::fprintf(stderr,
-                   "FATAL: sharding: 1-shard replay read %llu pages, "
-                   "execution read %llu (replay must reproduce the "
-                   "single-node footprint)\n",
-                   static_cast<unsigned long long>(modeled_reads),
-                   static_cast<unsigned long long>(join_io.pages_read));
-      std::exit(1);
-    }
-
-    const double efficiency =
-        modeled_reads > 0 ? static_cast<double>(join_io.pages_read) /
-                                static_cast<double>(modeled_reads)
-                          : 1.0;
-    char eff_buf[32], bal_buf[32];
-    std::snprintf(eff_buf, sizeof(eff_buf), "%.4g", efficiency);
-    std::snprintf(bal_buf, sizeof(bal_buf), "%.4g", plan.balance_ratio);
-    bench::PrintTableRow({"shards" + std::to_string(num_shards),
-                          std::to_string(plan.cut_weight),
-                          std::to_string(plan.replicated_pages),
-                          std::to_string(modeled_reads),
-                          std::to_string(join_io.pages_read), eff_buf,
-                          bal_buf});
-  }
-}
-
 void RunKnnJoinSweep(const bench::BenchArgs& args) {
   constexpr size_t kDims = 8;
   constexpr uint32_t kK = 8;
@@ -1106,7 +996,6 @@ int main(int argc, char** argv) {
   pmjoin::RunKernelSweep(args);
   pmjoin::RunClusterJoinFileSweep(args);
   pmjoin::RunKnnJoinSweep(args);
-  pmjoin::RunShardingSweep(args);
   pmjoin::bench::SetReportArtifact(nullptr);
   if (args.json) {
     report.CaptureSession();

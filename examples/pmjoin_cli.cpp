@@ -8,7 +8,7 @@
 //              [--algo=nlj|pm-nlj|rand-sc|sc|cc|ego|bfrj|pbsm]
 //              [--n=20000] [--dims=2] [--eps=0.01] [--k=0] [--edits=5]
 //              [--buffer=64] [--page=1024] [--window=500] [--self]
-//              [--seed=1] [--norm=l1|l2|linf] [--shards=N]
+//              [--seed=1] [--norm=l1|l2|linf]
 //              [--backend=sim|file] [--data-dir=DIR] [--io-threads=N]
 //              [--trace=FILE] [--report=FILE]
 //
@@ -17,12 +17,6 @@
 // (JoinDriver::RunKnnJoin). --algo is ignored with --k; combining --k
 // with an explicit --eps is a flag error (the two select different query
 // types); the sequence datasets (dna, walk) have no kNN path.
-//
-// --shards=N partitions the cluster sharing graph across N modeled
-// shards (clustered engines and kNN only; see core/shard_coordinator.h).
-// Pairs and total counters are byte-identical to --shards=1; the report
-// gains a per-shard section (attributed I/O/CPU, isolated modeled I/O,
-// cut weight, replication, balance).
 //
 // --backend selects the storage backend: `sim` (default) models I/O cost
 // only; `file` runs the identical pipeline against real page files under
@@ -79,7 +73,6 @@ struct CliArgs {
   double eps = 0.01;
   bool eps_explicit = false;  // --eps was typed (vs. the default above).
   uint32_t k = 0;  // 0 = ε-join; >= 1 = kNN join (vector data only).
-  uint32_t shards = 1;  // modeled shards; 1 = single-node.
   uint32_t edits = 5;
   uint32_t buffer = 64;
   uint32_t page = 1024;
@@ -120,8 +113,6 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--eps", &value)) {
       args.eps = std::atof(value.c_str());
       args.eps_explicit = true;
-    } else if (ParseFlag(argv[i], "--shards", &value)) {
-      args.shards = static_cast<uint32_t>(std::atoi(value.c_str()));
     } else if (ParseFlag(argv[i], "--k", &value)) {
       args.k = static_cast<uint32_t>(std::atoi(value.c_str()));
     } else if (ParseFlag(argv[i], "--edits", &value)) {
@@ -225,32 +216,11 @@ void PrintReport(const JoinReport& report, uint64_t result_pairs) {
               "%.3f\n",
               report.io_seconds, report.cpu_join_seconds,
               report.preprocess_seconds, report.TotalSeconds());
-  if (report.shards > 1) {
-    std::printf("shards:           %u, cut %llu/%llu, replicated %llu/%llu "
-                "pages, balance %.3f\n",
-                report.shards,
-                (unsigned long long)report.shard_cut_weight,
-                (unsigned long long)report.shard_sharing_weight,
-                (unsigned long long)report.shard_replicated_pages,
-                (unsigned long long)report.shard_distinct_pages,
-                report.shard_balance_ratio);
-    for (size_t i = 0; i < report.shard_stats.size(); ++i) {
-      const ShardStats& s = report.shard_stats[i];
-      std::printf("  shard %zu:        %llu clusters, %llu entries, "
-                  "%llu pages, io %llu read / %llu hits, modeled %llu read\n",
-                  i, (unsigned long long)s.clusters,
-                  (unsigned long long)s.entries, (unsigned long long)s.pages,
-                  (unsigned long long)s.io.pages_read,
-                  (unsigned long long)s.io.buffer_hits,
-                  (unsigned long long)s.modeled_io.pages_read);
-    }
-  }
 }
 
 /// Ends the observability session and writes the --trace / --report
-/// artifacts. Called after the join has printed its report;
-/// `join_report` feeds the run report's shard section when sharded.
-int FinishObservability(const CliArgs& args, const JoinReport& join_report) {
+/// artifacts. Called after the join has printed its report.
+int FinishObservability(const CliArgs& args) {
   if (!args.observed()) return 0;
   obs::Tracer::Get().StopSession();
   const std::vector<obs::TraceEvent> events = obs::Tracer::Get().TakeEvents();
@@ -273,9 +243,6 @@ int FinishObservability(const CliArgs& args, const JoinReport& join_report) {
     report.SetContext("buffer", static_cast<uint64_t>(args.buffer));
     report.SetContext("page", static_cast<uint64_t>(args.page));
     report.SetContext("seed", args.seed);
-    report.SetContext("shards", static_cast<uint64_t>(args.shards));
-    if (join_report.shards > 1)
-      report.SetShardSection(ShardSectionOf(join_report));
     report.CaptureSession(events);
     const Status st = report.WriteFile(args.report);
     if (!st.ok()) {
@@ -323,7 +290,6 @@ int Run(const CliArgs& args) {
   options.norm = *norm;
   options.seed = args.seed;
   options.io_threads = args.io_threads;
-  options.shards = args.shards;
   CountingSink sink;
 
   if (args.data == "road" || args.data == "clusters" ||
@@ -367,7 +333,7 @@ int Run(const CliArgs& args) {
     }
     PrintReport(*report, sink.count());
     PrintMeasuredIo(disk);
-    return FinishObservability(args, *report);
+    return FinishObservability(args);
   }
 
   if (args.k > 0) {
@@ -404,7 +370,7 @@ int Run(const CliArgs& args) {
     }
     PrintReport(*report, sink.count());
     PrintMeasuredIo(disk);
-    return FinishObservability(args, *report);
+    return FinishObservability(args);
   }
 
   if (args.data == "walk") {
@@ -436,7 +402,7 @@ int Run(const CliArgs& args) {
     }
     PrintReport(*report, sink.count());
     PrintMeasuredIo(disk);
-    return FinishObservability(args, *report);
+    return FinishObservability(args);
   }
 
   std::fprintf(stderr, "bad --data value: %s\n", args.data.c_str());
@@ -454,7 +420,7 @@ int main(int argc, char** argv) {
         "                  [--n=N] [--dims=D] [--eps=E] [--k=N] [--edits=K]\n"
         "                  [--buffer=B] [--page=BYTES] [--window=L]\n"
         "                  [--self] [--seed=S] [--norm=l1|l2|linf]\n"
-        "                  [--shards=N] [--trace=FILE] [--report=FILE]\n"
+        "                  [--trace=FILE] [--report=FILE]\n"
         "                  [--backend=sim|file] [--data-dir=DIR]\n"
         "                  [--io-threads=N]\n"
         "--trace writes Chrome trace-event JSON (chrome://tracing);\n"
@@ -465,10 +431,7 @@ int main(int argc, char** argv) {
         "--io-threads=N overlaps the file backend's physical reads with\n"
         "the joins (async prefetch); results and modeled I/O unchanged.\n"
         "--k=N runs a kNN join on vector data (ignores --algo; cannot be\n"
-        "combined with an explicit --eps).\n"
-        "--shards=N partitions the cluster sharing graph across N modeled\n"
-        "shards; results are byte-identical to --shards=1 and the report\n"
-        "gains per-shard I/O, cut-weight, and replication stats.\n");
+        "combined with an explicit --eps).\n");
     return 2;
   }
   return Run(*args);

@@ -162,10 +162,14 @@ class PMJOIN_CAPABILITY("mutex") Mutex {
   }
 
   void Unlock() PMJOIN_RELEASE() {
-    raw_.unlock();
 #ifdef PMJOIN_PARANOID
+    // Note the release while still holding the lock, mirroring Lock: once
+    // raw_ is unlocked another thread may destroy this mutex (a returning
+    // WaitGroup::Wait frees its WaitGroup), so rank_/name_ must not be
+    // read after that point.
     sync_internal::NoteRelease(rank_, name_);
 #endif
+    raw_.unlock();
   }
 
   uint32_t rank() const { return rank_; }

@@ -195,8 +195,7 @@ class StagingWindow {
 Status ExecuteSerial(const JoinInput& input,
                      const std::vector<Cluster>& clusters,
                      std::span<const uint32_t> order, BufferPool* pool,
-                     PairSink* sink, OpCounters* ops, AsyncReader* reader,
-                     std::vector<ClusterCharge>* charges) {
+                     PairSink* sink, OpCounters* ops, AsyncReader* reader) {
   StagingWindow staging(input, clusters, order, pool, reader);
   for (size_t i = 0; i < order.size(); ++i) {
     const uint32_t index = order[i];
@@ -204,18 +203,9 @@ Status ExecuteSerial(const JoinInput& input,
     std::vector<PageId> pages;
     PMJOIN_RETURN_IF_ERROR(ValidateAndPageSet(input, clusters, index,
                                               pool->capacity(), &pages));
-    const IoStats io_before =
-        charges != nullptr ? pool->disk()->stats() : IoStats();
     PMJOIN_RETURN_IF_ERROR(pool->PinBatch(pages));
-    if (charges != nullptr)
-      (*charges)[index].io += pool->disk()->stats().Delta(io_before);
     staging.Advance(i);
-    const Cluster& cluster = clusters[index];
-    const OpCounters ops_before =
-        charges != nullptr && ops != nullptr ? *ops : OpCounters();
-    JoinEntries(input, cluster.entries, sink, ops);
-    if (charges != nullptr && ops != nullptr)
-      (*charges)[index].ops += ops->Delta(ops_before);
+    JoinEntries(input, clusters[index].entries, sink, ops);
     pool->UnpinBatch(pages);
     // Phase boundary: the cluster's pins are released, the pool must be
     // back in a self-consistent state (paranoid builds only).
@@ -254,16 +244,11 @@ Status ExecuteParallel(const JoinInput& input,
   ShardedPairSink pair_shards(num_workers);
   ShardedOpCounters op_shards(num_workers);
 
-  std::vector<ClusterCharge>* const charges = options.cluster_charges;
   StagingWindow staging(input, clusters, order, pool, reader);
   std::vector<PageId> current;
   PMJOIN_RETURN_IF_ERROR(ValidateAndPageSet(input, clusters, order[0],
                                             pool->capacity(), &current));
-  const IoStats first_before =
-      charges != nullptr ? pool->disk()->stats() : IoStats();
   PMJOIN_RETURN_IF_ERROR(pool->PinBatch(current));
-  if (charges != nullptr)
-    (*charges)[order[0]].io += pool->disk()->stats().Delta(first_before);
 
   for (size_t i = 0; i < order.size(); ++i) {
     PMJOIN_SPAN_OPS_ARG("cluster", ops, order[i]);
@@ -306,8 +291,7 @@ Status ExecuteParallel(const JoinInput& input,
       next_status = ValidateAndPageSet(input, clusters, order[i + 1],
                                        pool->capacity(), &next);
       if (next_status.ok()) {
-        const bool pin_early =
-            options.prefetch_next_cluster && CanPrefetch(*pool, next);
+        const bool pin_early = CanPrefetch(*pool, next);
         if (reader != nullptr) {
           staging.Advance(i);
         } else if (pin_early) {
@@ -317,22 +301,13 @@ Status ExecuteParallel(const JoinInput& input,
           }
         }
         if (pin_early) {
-          const IoStats io_before =
-              charges != nullptr ? pool->disk()->stats() : IoStats();
           next_status = pool->PinBatch(next);
           next_pinned = next_status.ok();
-          if (charges != nullptr && next_pinned)
-            (*charges)[order[i + 1]].io +=
-                pool->disk()->stats().Delta(io_before);
         }
       }
     }
 
     wg.Wait();
-    // The workers' shard totals are exactly cluster i's entry-join CPU:
-    // the shards were drained after the previous cluster and only this
-    // cluster's chunks have written to them since.
-    if (charges != nullptr) (*charges)[order[i]].ops += op_shards.Total();
     op_shards.DrainInto(ops);
     pair_shards.Drain(sink);
     pool->UnpinBatch(current);
@@ -342,14 +317,7 @@ Status ExecuteParallel(const JoinInput& input,
 
     if (have_next) {
       PMJOIN_RETURN_IF_ERROR(next_status);
-      if (!next_pinned) {
-        const IoStats io_before =
-            charges != nullptr ? pool->disk()->stats() : IoStats();
-        PMJOIN_RETURN_IF_ERROR(pool->PinBatch(next));
-        if (charges != nullptr)
-          (*charges)[order[i + 1]].io +=
-              pool->disk()->stats().Delta(io_before);
-      }
+      if (!next_pinned) PMJOIN_RETURN_IF_ERROR(pool->PinBatch(next));
       current = std::move(next);
     }
   }
@@ -367,9 +335,6 @@ Status ExecuteClusteredJoin(const JoinInput& input,
   PMJOIN_SPAN_OPS("execute", ops);
   if (order.size() != clusters.size())
     return Status::InvalidArgument("order size != cluster count");
-  if (options.cluster_charges != nullptr &&
-      options.cluster_charges->size() < clusters.size())
-    return Status::InvalidArgument("cluster_charges smaller than clusters");
   if (order.empty()) return Status::OK();
 
   // Async read pipeline. `cleanup` is declared before the reader so the
@@ -390,8 +355,7 @@ Status ExecuteClusteredJoin(const JoinInput& input,
   AsyncReader* reader_ptr = reader ? &*reader : nullptr;
 
   if (options.num_threads <= 1)
-    return ExecuteSerial(input, clusters, order, pool, sink, ops, reader_ptr,
-                         options.cluster_charges);
+    return ExecuteSerial(input, clusters, order, pool, sink, ops, reader_ptr);
   return ExecuteParallel(input, clusters, order, pool, sink, ops, options,
                          reader_ptr);
 }

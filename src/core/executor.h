@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/cluster.h"
-#include "core/shard_planner.h"
 #include "io/buffer_pool.h"
 
 namespace pmjoin {
@@ -27,15 +26,6 @@ struct ExecutorOptions {
   /// aggregated `OpCounters` are identical to the serial run's.
   uint32_t num_threads = 1;
 
-  /// Overlap I/O with computation: while workers join cluster k, the
-  /// coordinator pins cluster k+1's non-resident pages through the buffer
-  /// pool (in the same seek-optimal schedule order the serial run would
-  /// use). Only applied when a feasibility check proves the eviction
-  /// sequence — and therefore the simulated `IoStats` — stays byte-
-  /// identical to the serial run; otherwise that step falls back to the
-  /// serial read position. Ignored when num_threads == 1.
-  bool prefetch_next_cluster = true;
-
   /// Optional externally owned pool of workers to reuse across calls
   /// (must have >= 1 thread). When null and num_threads > 1, the call
   /// creates a transient pool of num_threads workers.
@@ -49,23 +39,10 @@ struct ExecutorOptions {
   /// normal PinBatch at its usual position. Ledger-neutral by
   /// construction: the modeled IoStats are charged at consumption exactly
   /// as in the synchronous run; only the wall-clock timing of the bytes
-  /// changes. Independent of num_threads (works with the serial executor)
-  /// and of prefetch_next_cluster (the feasibility gate still decides
-  /// whether pages are *pinned* early; staging never pins).
+  /// changes. Independent of num_threads: it works with the serial
+  /// executor, and in the parallel one the feasibility gate still decides
+  /// whether pages are *pinned* early (staging never pins).
   uint32_t io_threads = 0;
-
-  /// When non-null, the executor records each cluster's exact charges
-  /// into `(*cluster_charges)[cluster index]` (+=, so a caller can
-  /// accumulate across calls): the modeled IoStats delta of the cluster's
-  /// PinBatch — wherever the prefetch machinery places it — and the
-  /// OpCounters delta of its entry joins. Attribution changes nothing
-  /// observable (the execution path is identical with or without it), and
-  /// it is exact: every modeled page the executor moves is pinned on
-  /// behalf of exactly one cluster, so the summed charges equal the
-  /// executor's I/O footprint field by field. Must be sized >=
-  /// clusters.size(); the shard coordinator (core/shard_coordinator.h)
-  /// folds the charges into per-shard totals by plan ownership.
-  std::vector<ClusterCharge>* cluster_charges = nullptr;
 };
 
 /// In-memory join of a range of marked entries: calls

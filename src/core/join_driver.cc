@@ -19,7 +19,6 @@
 #include "core/plane_sweep.h"
 #include "core/pm_nlj.h"
 #include "core/scheduler.h"
-#include "core/shard_coordinator.h"
 #include "core/square_clustering.h"
 #include "io/buffer_pool.h"
 #include "obs/metrics.h"
@@ -54,34 +53,6 @@ std::string AlgorithmName(Algorithm algorithm) {
 JoinDriver::JoinDriver(StorageBackend* disk, CpuCostModel cpu_model)
     : disk_(disk), cpu_model_(cpu_model) {}
 
-obs::ShardSection ShardSectionOf(const JoinReport& report) {
-  obs::ShardSection section;
-  section.count = report.shards;
-  section.cut_weight = report.shard_cut_weight;
-  section.sharing_weight = report.shard_sharing_weight;
-  section.replicated_pages = report.shard_replicated_pages;
-  section.distinct_pages = report.shard_distinct_pages;
-  section.balance_ratio = report.shard_balance_ratio;
-  section.join_io = report.io;
-  section.join_ops = report.ops;
-  section.unattributed_io = report.shard_unattributed_io;
-  section.unattributed_ops = report.shard_unattributed_ops;
-  section.per_shard.reserve(report.shard_stats.size());
-  for (size_t i = 0; i < report.shard_stats.size(); ++i) {
-    const ShardStats& s = report.shard_stats[i];
-    obs::ShardRow row;
-    row.shard = static_cast<uint32_t>(i);
-    row.clusters = s.clusters;
-    row.entries = s.entries;
-    row.pages = s.pages;
-    row.io = s.io;
-    row.ops = s.ops;
-    row.modeled_io = s.modeled_io;
-    section.per_shard.push_back(std::move(row));
-  }
-  return section;
-}
-
 const RStarTree* JoinDriver::SequencePageTree(
     const void* store_key, const std::vector<Mbr>& page_mbrs) {
   auto it = seq_trees_.find(store_key);
@@ -101,41 +72,11 @@ const RStarTree* JoinDriver::SequencePageTree(
 
 namespace {
 
-/// Copies a completed shard plan into the report's shard section. The
-/// attributed/modeled per-shard stats ride along in plan.shards.
-void FillShardReport(ShardPlan&& plan, JoinReport* report) {
-  report->shards = plan.num_shards;
-  report->shard_cut_weight = plan.cut_weight;
-  report->shard_sharing_weight = plan.sharing_weight;
-  report->shard_replicated_pages = plan.replicated_pages;
-  report->shard_distinct_pages = plan.distinct_pages;
-  report->shard_balance_ratio = plan.balance_ratio;
-  report->shard_stats = std::move(plan.shards);
-}
-
-/// Closes the shard ledger once report->io/ops hold the run totals:
-/// the unattributed remainder is totals minus the summed per-shard
-/// charges. Every charge is a delta of the same monotone counters the
-/// totals are, so the subtraction is exact and non-negative.
-void FinalizeShardLedger(JoinReport* report) {
-  if (report->shards <= 1) return;
-  IoStats attributed_io;
-  OpCounters attributed_ops;
-  for (const ShardStats& s : report->shard_stats) {
-    attributed_io += s.io;
-    attributed_ops += s.ops;
-  }
-  report->shard_unattributed_io = report->io.Delta(attributed_io);
-  report->shard_unattributed_ops = report->ops.Delta(attributed_ops);
-}
-
 /// Runs one matrix-based algorithm (NLJ uses the matrix as a result-free
 /// oracle only; see BlockNlj). `external_pool`, when non-null, replaces
 /// the private per-run pool so callers (the join server) can carry page
 /// residency across runs; it must have capacity >= options.buffer_pages.
-/// For the clustered engines with options.shards > 1, execution goes
-/// through the shard coordinator and `report`'s shard section is filled
-/// (num_clusters is set either way).
+/// Sets `report->num_clusters` for the clustered engines.
 Status RunMatrixAlgorithm(const JoinInput& input,
                           const PredictionMatrix& matrix,
                           const JoinOptions& options, const DiskModel& model,
@@ -196,23 +137,8 @@ Status RunMatrixAlgorithm(const JoinInput& input,
       ExecutorOptions exec_options;
       exec_options.num_threads = options.num_threads;
       exec_options.io_threads = options.io_threads;
-      if (options.shards <= 1)
-        return ExecuteClusteredJoin(input, clusters, order, &pool, sink, ops,
-                                    exec_options);
-      // Shard-aware path: one worker pool serves both the executor's
-      // entry joins and the coordinator's isolated shard replays.
-      std::optional<ThreadPool> shard_workers;
-      if (options.num_threads > 1) {
-        shard_workers.emplace(options.num_threads);
-        exec_options.thread_pool = &*shard_workers;
-      }
-      ShardPlan plan;
-      PMJOIN_RETURN_IF_ERROR(ExecuteShardedJoin(
-          input, clusters, order, &pool, sink, ops, exec_options,
-          options.shards, options.buffer_pages,
-          shard_workers ? &*shard_workers : nullptr, &plan));
-      FillShardReport(std::move(plan), report);
-      return Status::OK();
+      return ExecuteClusteredJoin(input, clusters, order, &pool, sink, ops,
+                                  exec_options);
     }
     case Algorithm::kEgo:
     case Algorithm::kBfrj:
@@ -225,13 +151,6 @@ Status RunMatrixAlgorithm(const JoinInput& input,
 }
 
 }  // namespace
-
-Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
-                                         const VectorDataset& s, double eps,
-                                         const JoinOptions& options,
-                                         PairSink* sink) {
-  return RunVector(r, s, eps, options, sink, JoinResources());
-}
 
 Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
                                          const VectorDataset& s, double eps,
@@ -332,15 +251,7 @@ Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
   report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
   report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
   report.result_pairs = ops.result_pairs;
-  FinalizeShardLedger(&report);
   return report;
-}
-
-Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
-                                          const VectorDataset& s, uint32_t k,
-                                          const JoinOptions& options,
-                                          PairSink* sink) {
-  return RunKnnJoin(r, s, k, options, sink, JoinResources());
 }
 
 Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
@@ -390,31 +301,6 @@ Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
   knn_options.self_join = &r == &s;
   knn_options.num_threads = options.num_threads;
 
-  // Shard-aware path: each R page's expansion is one ownership unit (its
-  // page plus the candidate prefix it is most likely to pin), partitioned
-  // with the same planner as the clustered engines. The expansion itself
-  // stays single-node — the adaptive bounds make the page schedule
-  // data-dependent, so there is no precomputable per-shard replay and
-  // modeled_io stays zero; the ledger covers the attributed charges.
-  ShardPlan plan;
-  std::vector<ClusterCharge> page_charges;
-  if (options.shards > 1) {
-    JoinInput knn_input;
-    knn_input.r_file = r.file_id();
-    knn_input.s_file = s.file_id();
-    knn_input.r_pages = r.num_pages();
-    knn_input.s_pages = s.num_pages();
-    knn_input.self_join = knn_options.self_join;
-    const std::vector<Cluster> units =
-        KnnOwnershipClusters(*matrix, options.buffer_pages);
-    {
-      PMJOIN_SPAN("shard_plan");
-      plan = PlanShards(units, knn_input, options.shards);
-    }
-    page_charges.resize(r.num_pages());
-    knn_options.page_charges = &page_charges;
-  }
-
   std::unique_ptr<BufferPool> owned;
   BufferPool* pool = resources.shared_pool;
   if (pool == nullptr) {
@@ -431,18 +317,12 @@ Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
   if (!st.ok()) return st;
   results.Emit(sink, &ops);
 
-  if (options.shards > 1) {
-    AttributeCharges(page_charges, &plan);
-    FillShardReport(std::move(plan), &report);
-  }
-
   report.io = disk_->stats().Delta(io_before);
   report.ops = ops;
   report.io_seconds = report.io.ModeledSeconds(disk_->model());
   report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
   report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
   report.result_pairs = ops.result_pairs;
-  FinalizeShardLedger(&report);
   return report;
 }
 
@@ -518,7 +398,6 @@ Result<JoinReport> JoinDriver::RunTimeSeries(const TimeSeriesStore& r,
   report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
   report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
   report.result_pairs = ops.result_pairs;
-  FinalizeShardLedger(&report);
   return report;
 }
 
@@ -594,7 +473,6 @@ Result<JoinReport> JoinDriver::RunString(const StringSequenceStore& r,
   report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
   report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
   report.result_pairs = ops.result_pairs;
-  FinalizeShardLedger(&report);
   return report;
 }
 

@@ -12,7 +12,6 @@
 #include "common/pair_sink.h"
 #include "common/result.h"
 #include "core/prediction_matrix.h"
-#include "core/shard_planner.h"
 #include "data/vector_dataset.h"
 #include "index/rstar_tree.h"
 #include "geom/distance.h"
@@ -85,17 +84,6 @@ struct JoinOptions {
   /// produces identical result pairs, CPU counters, and modeled IoStats —
   /// only the wall-clock timing of the physical reads changes.
   uint32_t io_threads = 0;
-
-  /// Modeled shards for the clustered engines and the kNN join (see
-  /// core/shard_coordinator.h). 0 and 1 mean single-node. With N > 1 the
-  /// cluster sharing graph is partitioned into N balanced shards
-  /// minimizing the edge cut, execution charges are attributed to owner
-  /// shards, and each shard's isolated modeled I/O (own buffer pool, own
-  /// backend view, replication included) is reported in the JoinReport's
-  /// shard section. Pairs, total IoStats, and OpCounters stay
-  /// byte-identical to single-node at any shard count. Ignored by the
-  /// non-clustered ε engines (NLJ, pm-NLJ, EGO, BFRJ, PBSM).
-  uint32_t shards = 1;
 };
 
 class BufferPool;
@@ -172,28 +160,7 @@ struct JoinReport {
   uint64_t matrix_cols = 0;
   double matrix_selectivity = 0.0;
   uint64_t num_clusters = 0;
-
-  /// Shard section (JoinOptions::shards > 1 on a sharding engine; shards
-  /// stays 1 and shard_stats empty otherwise). The ledger is exact:
-  /// Σ shard_stats[].io + shard_unattributed_io == io, field by field —
-  /// the unattributed remainder is the work outside cluster execution
-  /// (matrix build, tree reads, planning).
-  uint32_t shards = 1;
-  uint64_t shard_cut_weight = 0;
-  uint64_t shard_sharing_weight = 0;
-  uint64_t shard_replicated_pages = 0;
-  uint64_t shard_distinct_pages = 0;
-  double shard_balance_ratio = 0.0;
-  IoStats shard_unattributed_io;
-  OpCounters shard_unattributed_ops;
-  std::vector<ShardStats> shard_stats;
 };
-
-/// Copies a JoinReport's shard section into the obs-layer report mirror
-/// (the "shards" JSON object of run and server reports). The section's
-/// join_io/join_ops are the report totals the per-shard ledger closes
-/// against. Only meaningful when report.shards > 1.
-obs::ShardSection ShardSectionOf(const JoinReport& report);
 
 /// One-call façade over the whole library: builds the prediction matrix,
 /// clusters it, schedules, and executes — or runs a baseline — returning a
@@ -209,17 +176,13 @@ class JoinDriver {
 
   /// ε-join of two vector datasets (pass the same object twice for a self
   /// join). Results go to `sink` as (original id, original id) pairs.
-  Result<JoinReport> RunVector(const VectorDataset& r,
-                               const VectorDataset& s, double eps,
-                               const JoinOptions& options, PairSink* sink);
-
-  /// Reentrant variant taking cached artifacts: a shared buffer pool
-  /// and/or a memoized prediction matrix (see JoinResources). With an
-  /// all-null `resources` this is exactly `RunVector` above.
+  /// `resources` may supply cached artifacts — a shared buffer pool
+  /// and/or a memoized prediction matrix (see JoinResources); the default
+  /// all-null value runs standalone.
   Result<JoinReport> RunVector(const VectorDataset& r,
                                const VectorDataset& s, double eps,
                                const JoinOptions& options, PairSink* sink,
-                               const JoinResources& resources);
+                               const JoinResources& resources = {});
 
   /// kNN join of two vector datasets: for every record of `r`, its `k`
   /// nearest records of `s` under options.norm (pass the same object
@@ -229,17 +192,13 @@ class JoinDriver {
   /// options.buffer_pages / num_threads / norm; options.algorithm is
   /// ignored (the report says kKnn) and options.io_threads is inert here —
   /// the expansion order is bound-driven, so there is no precomputable
-  /// page schedule to hand an async reader.
-  Result<JoinReport> RunKnnJoin(const VectorDataset& r,
-                                const VectorDataset& s, uint32_t k,
-                                const JoinOptions& options, PairSink* sink);
-
-  /// Reentrant variant taking cached artifacts: a shared buffer pool
-  /// and/or a memoized kNN candidate matrix (see JoinResources).
+  /// page schedule to hand an async reader. `resources` may supply a
+  /// shared buffer pool and/or a memoized kNN candidate matrix (see
+  /// JoinResources).
   Result<JoinReport> RunKnnJoin(const VectorDataset& r,
                                 const VectorDataset& s, uint32_t k,
                                 const JoinOptions& options, PairSink* sink,
-                                const JoinResources& resources);
+                                const JoinResources& resources = {});
 
   /// Subsequence ε-join (L2 over length-L windows) of two time series.
   Result<JoinReport> RunTimeSeries(const TimeSeriesStore& r,

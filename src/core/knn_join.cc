@@ -125,29 +125,18 @@ Status KnnJoinVectors(const VectorDataset& r, const VectorDataset& s,
     return Status::InvalidArgument("knn candidate matrix shape mismatch");
   if (results->k() != options.k || results->num_records() != r.num_records())
     return Status::InvalidArgument("knn result sink shape mismatch");
-  if (options.page_charges != nullptr &&
-      options.page_charges->size() < r.num_pages())
-    return Status::InvalidArgument("page_charges smaller than R page count");
 
   const size_t dims = r.dims();
   const Norm norm = options.norm;
   const bool prune = options.prune;
-  uint32_t shards = 1;
+  uint32_t workers = 1;
   if (thread_pool != nullptr && options.num_threads > 1)
-    shards = std::min(options.num_threads, thread_pool->size());
+    workers = std::min(options.num_threads, thread_pool->size());
   // Per-worker kernel output buffers, sized to the widest S page.
-  std::vector<std::vector<double>> scratch(shards);
+  std::vector<std::vector<double>> scratch(workers);
   for (std::vector<double>& buf : scratch) buf.resize(s.records_per_page());
 
-  std::vector<ClusterCharge>* const charges = options.page_charges;
   for (uint32_t rp = 0; rp < r.num_pages(); ++rp) {
-    // Every charge inside this iteration — pins and CPU alike — belongs
-    // to R page rp; the deltas are exact because only the coordinator
-    // touches the pool and the counters.
-    const IoStats io_before =
-        charges != nullptr ? pool->disk()->stats() : IoStats();
-    const OpCounters ops_before =
-        charges != nullptr && ops != nullptr ? *ops : OpCounters();
     const PageId rpid{r.file_id(), rp};
     Status st = pool->Pin(rpid);
     if (!st.ok()) return st;
@@ -175,7 +164,7 @@ Status KnnJoinVectors(const VectorDataset& r, const VectorDataset& s,
       const kernels::BlockView s_block = s.PageBlock(cand.s_page);
       // One contiguous record chunk per worker: every heap is touched by
       // exactly one thread (no locks), and the retained k smallest keys
-      // are unique regardless of sharding, so parallel == serial.
+      // are unique regardless of chunking, so parallel == serial.
       auto join_chunk = [&](uint32_t begin, uint32_t end, double* stats) {
         for (uint32_t slot = begin; slot < end; ++slot) {
           const uint64_t rid = r.OriginalId(rp, slot);
@@ -192,7 +181,7 @@ Status KnnJoinVectors(const VectorDataset& r, const VectorDataset& s,
           }
         }
       };
-      const uint32_t active = std::min(shards, nr);
+      const uint32_t active = std::min(workers, nr);
       if (active <= 1) {
         join_chunk(0, nr, scratch[0].data());
       } else {
@@ -217,10 +206,6 @@ Status KnnJoinVectors(const VectorDataset& r, const VectorDataset& s,
       pool->Unpin(spid);
     }
     pool->Unpin(rpid);
-    if (charges != nullptr) {
-      (*charges)[rp].io += pool->disk()->stats().Delta(io_before);
-      if (ops != nullptr) (*charges)[rp].ops += ops->Delta(ops_before);
-    }
   }
   return Status::OK();
 }

@@ -9,7 +9,6 @@
 #include "common/pair_sink.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/shard_planner.h"
 #include "data/vector_dataset.h"
 #include "geom/distance.h"
 #include "geom/mbr.h"
@@ -55,16 +54,6 @@ struct KnnJoinOptions {
   /// barrier, so modeled IoStats and OpCounters are byte-identical to the
   /// serial run — the executor's serial-equivalence gate, upheld here.
   uint32_t num_threads = 1;
-
-  /// When non-null, records each R page's exact charges into
-  /// `(*page_charges)[r page]` (+=): the modeled IoStats delta of the
-  /// page's expansion (its own pin plus every candidate S-page pin — all
-  /// pool access is coordinator-side, so the delta is exact) and the
-  /// OpCounters delta of its kernel work. The kNN analogue of
-  /// ExecutorOptions::cluster_charges; the shard coordinator folds the
-  /// charges into per-shard totals by R-page ownership. Must be sized >=
-  /// r.num_pages(). Attribution changes nothing observable.
-  std::vector<ClusterCharge>* page_charges = nullptr;
 };
 
 /// Per-row bounded neighbor heaps — the kNN analogue of PairSink.

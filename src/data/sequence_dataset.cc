@@ -15,38 +15,4 @@ Result<StringSequenceStore> BuildDnaStore(StorageBackend* disk,
                                     params.page_size_bytes);
 }
 
-Status BuildDnaStorePair(StorageBackend* disk, std::string_view name_a,
-                         std::string_view name_b, const DnaStoreParams& a,
-                         const DnaStoreParams& b,
-                         StringSequenceStore* out_a,
-                         StringSequenceStore* out_b) {
-  std::vector<uint8_t> seq_a;
-  std::vector<uint8_t> seq_b;
-  GenDnaPair(a.length, b.length, a.seed, &seq_a, &seq_b, a.repeat_fraction,
-             a.mutation_rate);
-  Result<StringSequenceStore> ra =
-      StringSequenceStore::Build(disk, name_a, std::move(seq_a),
-                                 /*alphabet_size=*/4, a.window_len,
-                                 a.page_size_bytes);
-  if (!ra.ok()) return ra.status();
-  Result<StringSequenceStore> rb =
-      StringSequenceStore::Build(disk, name_b, std::move(seq_b),
-                                 /*alphabet_size=*/4, b.window_len,
-                                 b.page_size_bytes);
-  if (!rb.ok()) return rb.status();
-  *out_a = std::move(ra).value();
-  *out_b = std::move(rb).value();
-  return Status::OK();
-}
-
-Result<TimeSeriesStore> BuildWalkStore(StorageBackend* disk,
-                                       std::string_view name,
-                                       const WalkStoreParams& params) {
-  std::vector<float> series =
-      GenRandomWalk(params.length, params.seed, params.volatility);
-  return TimeSeriesStore::Build(disk, name, std::move(series),
-                                params.window_len, params.paa_dims,
-                                params.page_size_bytes);
-}
-
 }  // namespace pmjoin

@@ -10,8 +10,8 @@
 
 namespace pmjoin {
 
-/// Convenience builders wiring the synthetic sequence generators
-/// (data/generators.h) to the paged sequence stores (seq/sequence_store.h).
+/// Convenience builder wiring the synthetic genome generator
+/// (data/generators.h) to the paged string store (seq/sequence_store.h).
 
 struct DnaStoreParams {
   size_t length = 0;
@@ -27,30 +27,6 @@ struct DnaStoreParams {
 Result<StringSequenceStore> BuildDnaStore(StorageBackend* disk,
                                           std::string_view name,
                                           const DnaStoreParams& params);
-
-/// Builds a homologous pair of DNA stores (shared motif pool — the
-/// HChr18/MChr18 stand-in). Both stores are registered on `disk`.
-Status BuildDnaStorePair(StorageBackend* disk, std::string_view name_a,
-                         std::string_view name_b, const DnaStoreParams& a,
-                         const DnaStoreParams& b,
-                         StringSequenceStore* out_a,
-                         StringSequenceStore* out_b);
-
-struct WalkStoreParams {
-  size_t length = 0;
-  uint64_t seed = 1;
-  /// Window length L; "one month" of closing prices ≈ 32 (divisible f).
-  uint32_t window_len = 32;
-  /// PAA feature dimensionality f (must divide window_len).
-  uint32_t paa_dims = 8;
-  uint32_t page_size_bytes = 4096;
-  double volatility = 0.01;
-};
-
-/// Builds a stock-like TimeSeriesStore from the random-walk generator.
-Result<TimeSeriesStore> BuildWalkStore(StorageBackend* disk,
-                                       std::string_view name,
-                                       const WalkStoreParams& params);
 
 }  // namespace pmjoin
 

@@ -66,41 +66,6 @@ void AppendJsonOpCounters(std::string* out, const OpCounters& ops) {
           ops.mbr_tests, ops.cluster_ops, ops.result_pairs);
 }
 
-void AppendJsonShardSection(std::string* out, const ShardSection& section) {
-  AppendF(out,
-          "{\"count\":%u,\"cut_weight\":%" PRIu64
-          ",\"sharing_weight\":%" PRIu64 ",\"replicated_pages\":%" PRIu64
-          ",\"distinct_pages\":%" PRIu64 ",\"balance_ratio\":%.17g",
-          section.count, section.cut_weight, section.sharing_weight,
-          section.replicated_pages, section.distinct_pages,
-          section.balance_ratio);
-  out->append(",\"join_io\":");
-  AppendJsonIoStats(out, section.join_io);
-  out->append(",\"join_ops\":");
-  AppendJsonOpCounters(out, section.join_ops);
-  out->append(",\"unattributed_io\":");
-  AppendJsonIoStats(out, section.unattributed_io);
-  out->append(",\"unattributed_ops\":");
-  AppendJsonOpCounters(out, section.unattributed_ops);
-  out->append(",\"per_shard\":[");
-  for (size_t i = 0; i < section.per_shard.size(); ++i) {
-    const ShardRow& row = section.per_shard[i];
-    if (i != 0) out->push_back(',');
-    AppendF(out,
-            "{\"shard\":%u,\"clusters\":%" PRIu64 ",\"entries\":%" PRIu64
-            ",\"pages\":%" PRIu64,
-            row.shard, row.clusters, row.entries, row.pages);
-    out->append(",\"io\":");
-    AppendJsonIoStats(out, row.io);
-    out->append(",\"ops\":");
-    AppendJsonOpCounters(out, row.ops);
-    out->append(",\"modeled_io\":");
-    AppendJsonIoStats(out, row.modeled_io);
-    out->push_back('}');
-  }
-  out->append("]}");
-}
-
 Status WriteTextFile(const std::string& path, const std::string& content) {
   FILE* file = fopen(path.c_str(), "w");
   if (file == nullptr) {
@@ -138,11 +103,6 @@ void RunReport::SetContext(const std::string& key, double value) {
 
 void RunReport::AddRowJson(std::string json_object) {
   rows_.push_back(std::move(json_object));
-}
-
-void RunReport::SetShardSection(ShardSection section) {
-  has_shards_ = true;
-  shards_ = std::move(section);
 }
 
 void RunReport::CaptureSession() { CaptureSession(Tracer::Get().TakeEvents()); }
@@ -227,11 +187,6 @@ std::string RunReport::ToJson() const {
   AppendJsonIoStats(&out, io_totals_);
   out += ",\"unattributed_io\":";
   AppendJsonIoStats(&out, unattributed_io_);
-
-  if (has_shards_) {
-    out += ",\"shards\":";
-    AppendJsonShardSection(&out, shards_);
-  }
 
   out += ",\"phases\":[";
   for (size_t i = 0; i < phases_.size(); ++i) {

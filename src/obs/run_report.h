@@ -56,41 +56,6 @@ struct PhaseRow {
   OpCounters ops;
 };
 
-// One shard's row in a report's shard section. Plain data — the obs layer
-// stays below core, so callers (pmjoin_cli, the server report) copy the
-// fields over from core's ShardStats rather than obs including it.
-struct ShardRow {
-  uint32_t shard = 0;      // shard id, dense [0, count)
-  uint64_t clusters = 0;   // ownership units assigned to this shard
-  uint64_t entries = 0;    // matrix entries across its units (its load)
-  uint64_t pages = 0;      // distinct pages its units touch
-  IoStats io;              // attributed execution I/O (exact delta ledger)
-  OpCounters ops;          // attributed execution CPU counters
-  IoStats modeled_io;      // isolated replay: own pool + backend view
-};
-
-// The report's shard section (JoinOptions::shards > 1). `join_io`/
-// `join_ops` are the run totals the ledger closes against:
-// sum(per_shard[].io) + unattributed_io == join_io, field by field, and
-// likewise for ops — checked by tools/validate_report.py.
-struct ShardSection {
-  uint32_t count = 1;
-  uint64_t cut_weight = 0;         // sharing-graph weight crossing shards
-  uint64_t sharing_weight = 0;     // total sharing-graph weight
-  uint64_t replicated_pages = 0;   // sum(per-shard pages) - distinct_pages
-  uint64_t distinct_pages = 0;
-  double balance_ratio = 0.0;      // max shard load / mean shard load
-  IoStats join_io;
-  OpCounters join_ops;
-  IoStats unattributed_io;
-  OpCounters unattributed_ops;
-  std::vector<ShardRow> per_shard;
-};
-
-// Appends `section` as the JSON object emitted under a report's "shards"
-// key (shared by RunReport and the server report so the two schemas agree).
-void AppendJsonShardSection(std::string* out, const ShardSection& section);
-
 // The single machine-readable output path for joins and benches: one JSON
 // object carrying the observed session's phase ledger (from Tracer spans),
 // the metrics-registry snapshot, the session IoStats totals, caller
@@ -123,9 +88,6 @@ class RunReport {
   void CaptureSession();
   void CaptureSession(const std::vector<TraceEvent>& events);
 
-  // Installs the shard section (emitted under "shards"; absent until set).
-  void SetShardSection(ShardSection section);
-
   const std::vector<PhaseRow>& phases() const { return phases_; }
   const IoStats& io_totals() const { return io_totals_; }
   const IoStats& unattributed_io() const { return unattributed_io_; }
@@ -140,8 +102,6 @@ class RunReport {
   std::vector<MetricsRegistry::MetricRow> metrics_;
   IoStats io_totals_;
   IoStats unattributed_io_;
-  bool has_shards_ = false;
-  ShardSection shards_;
 };
 
 }  // namespace obs

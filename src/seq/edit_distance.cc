@@ -40,18 +40,28 @@ size_t BandedEditDistance(std::span<const uint8_t> a,
   if (n == 0) return m;
 
   // Band half-width: cells with |i - j| > k can never be on a path of cost
-  // <= k, so only the 2k+1 diagonal band is evaluated.
+  // <= k, so only the 2k+1 diagonal band is evaluated. Row i reads the
+  // previous row at [j_lo - 1, j_hi] and its own cell j_lo - 1, so besides
+  // the band only the edge cells j_lo - 1 and j_hi + 1 are (re)set — the
+  // rest of each buffer may hold stale values from earlier rows or calls.
   const size_t kInf = k + 1;
-  std::vector<size_t> row(m + 1, kInf);
-  std::vector<size_t> prev(m + 1, kInf);
-  for (size_t j = 0; j <= std::min(m, k); ++j) prev[j] = j;
+  thread_local std::vector<size_t> row_buf, prev_buf;
+  if (row_buf.size() < m + 1) {
+    row_buf.resize(m + 1);
+    prev_buf.resize(m + 1);
+  }
+  size_t* row = row_buf.data();
+  size_t* prev = prev_buf.data();
+  const size_t first_hi = std::min(m, k);
+  for (size_t j = 0; j <= first_hi; ++j) prev[j] = j;
+  if (first_hi < m) prev[first_hi + 1] = kInf;
 
   for (size_t i = 1; i <= n; ++i) {
     const size_t j_lo = i > k ? i - k : 1;
     const size_t j_hi = std::min(m, i + k);
     if (j_lo > j_hi) return k + 1;
-    std::fill(row.begin(), row.end(), kInf);
-    if (i <= k) row[0] = i;
+    row[j_lo - 1] = j_lo == 1 && i <= k ? i : kInf;
+    if (j_hi < m) row[j_hi + 1] = kInf;
     size_t row_min = kInf;
     for (size_t j = j_lo; j <= j_hi; ++j) {
       const size_t subst = prev[j - 1] + (a[i - 1] != b[j - 1] ? 1 : 0);

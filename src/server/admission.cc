@@ -51,11 +51,6 @@ Status AdmissionController::Admit(JobSpec* job) const {
     return Status::InvalidArgument(
         "io_threads " + std::to_string(job->io_threads) + " exceeds limit " +
         std::to_string(options_.max_io_threads));
-  if (job->shards == 0) job->shards = options_.default_shards;
-  if (job->shards > options_.max_shards)
-    return Status::InvalidArgument(
-        "shards " + std::to_string(job->shards) + " exceeds limit " +
-        std::to_string(options_.max_shards));
   return Status::OK();
 }
 

@@ -36,9 +36,7 @@ struct QueuedQuery {
 ///     pool, so the query cannot deadlock on pool capacity,
 ///   - num_threads is at most max_threads,
 ///   - io_threads (explicit or server default; the async read pipeline's
-///     dedicated reader threads) is at most max_io_threads,
-///   - shards (explicit or server default; the modeled shard count of
-///     core/shard_coordinator.h) is at most max_shards.
+///     dedicated reader threads) is at most max_io_threads.
 class AdmissionController {
  public:
   struct Options {
@@ -48,8 +46,6 @@ class AdmissionController {
     uint32_t max_threads = 64;
     uint32_t default_io_threads = 0;    ///< 0 = synchronous reads.
     uint32_t max_io_threads = 16;
-    uint32_t default_shards = 1;        ///< 1 = single-node execution.
-    uint32_t max_shards = 64;
   };
 
   explicit AdmissionController(Options options) : options_(options) {}

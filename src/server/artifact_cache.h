@@ -42,9 +42,8 @@ namespace server {
 ///
 /// Thread-safe: one mutex (rank lock_rank::kArtifactCache) guards the
 /// memo maps and stats. The server's single worker is the only builder
-/// today, but stats() may race it from reporting threads, and the
-/// sharded-execution roadmap item will add concurrent readers — the lock
-/// is held across builds by design so a second requester of the same key
+/// today, but stats() may race it from reporting threads — the lock is
+/// held across builds by design so a second requester of the same key
 /// waits for the first build instead of duplicating it.
 class ArtifactCache {
  public:

@@ -60,9 +60,6 @@ struct JobSpec {
   /// 0 = ε-join (eps required); >= 1 = kNN join with this k (eps and
   /// engine must be absent — the kNN engine is its own query type).
   uint32_t k = 0;
-  /// Modeled shards; 0 = server default, 1 = single-node. Clamped to the
-  /// admission controller's max_shards.
-  uint32_t shards = 0;
 };
 
 /// Parses an engine token ("nlj", "pm-nlj", "rand-sc", "sc", "cc";
@@ -80,8 +77,7 @@ std::string EngineToken(Algorithm algorithm);
 ///    "eps": 0.01, "engine": "sc"}
 ///
 /// Recognized keys: cmd (optional, must be "submit"), id, r, s, eps,
-/// engine, buffer_pages, threads, io_threads, k, shards. `r` and `s` are
-/// always
+/// engine, buffer_pages, threads, io_threads, k. `r` and `s` are always
 /// required; exactly one of `eps` (ε-join) or `k` (kNN join) must be
 /// present, and `engine` only applies to ε-joins. Unknown keys are
 /// rejected by name — a typo must not run the wrong query shape.

@@ -17,8 +17,7 @@ JoinServer::JoinServer(StorageBackend* disk, Options options)
       admission_(AdmissionController::Options{
           options.pool_pages, options.default_buffer_pages,
           options.default_threads, options.max_threads,
-          options.default_io_threads, options.max_io_threads,
-          options.default_shards, options.max_shards}),
+          options.default_io_threads, options.max_io_threads}),
       queue_(options.max_queue_depth),
       cache_(disk, ArtifactCache::Options{
                        options.page_size_bytes, options.persist_datasets,
@@ -202,7 +201,6 @@ void JoinServer::Execute(const QueuedQuery& queued) {
     join_options.page_size_bytes = options_.page_size_bytes;
     join_options.num_threads = job.num_threads;
     join_options.io_threads = job.io_threads;
-    join_options.shards = job.shards;
 
     JoinResources resources;
     resources.shared_pool = &pool_;
@@ -256,9 +254,6 @@ void JoinServer::Execute(const QueuedQuery& queued) {
   query_report.SetContext("k", static_cast<uint64_t>(row.k));
   query_report.SetContext("matrix_cache_hit",
                           static_cast<uint64_t>(matrix_hit ? 1 : 0));
-  query_report.SetContext("shards", static_cast<uint64_t>(job.shards));
-  if (st.ok() && result.report.shards > 1)
-    query_report.SetShardSection(ShardSectionOf(result.report));
   query_report.CaptureSession();
 
   row.matrix_cache_hit = matrix_hit;
@@ -271,10 +266,6 @@ void JoinServer::Execute(const QueuedQuery& queued) {
     row.join_io = result.report.io;
     row.ops = result.report.ops;
     row.num_clusters = result.report.num_clusters;
-    if (result.report.shards > 1) {
-      row.has_shards = true;
-      row.shards = ShardSectionOf(result.report);
-    }
     result.pairs = sink.Sorted();
   } else {
     row.status = "failed";

@@ -67,12 +67,6 @@ class JoinServer {
     /// simulated backend, which has no physical reads to overlap).
     uint32_t default_io_threads = 0;
     uint32_t max_io_threads = 16;
-    /// JoinOptions::shards when the job does not set one (modeled shard
-    /// count of core/shard_coordinator.h; 1 = single-node). Sharding
-    /// never changes pairs or totals, so defaulting it on is safe — it
-    /// only adds the per-shard report section and its planning cost.
-    uint32_t default_shards = 1;
-    uint32_t max_shards = 64;
     size_t max_queue_depth = 64;
     uint32_t page_size_bytes = 4096;
     Norm norm = Norm::kL2;

@@ -127,10 +127,6 @@ std::string ServerReport::ToJson() const {
       AppendJsonOpCounters(&out, row.ops);
       out += ',';
       AppendU64(&out, "num_clusters", row.num_clusters);
-      if (row.has_shards) {
-        out += ",\"shards\":";
-        obs::AppendJsonShardSection(&out, row.shards);
-      }
     }
     out += '}';
   }

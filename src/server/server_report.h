@@ -39,11 +39,6 @@ struct QueryRow {
   IoStats join_io;
   OpCounters ops;
   uint64_t num_clusters = 0;
-  /// Per-shard section when the job ran with shards > 1 (same shape as a
-  /// run report's "shards": Σ per_shard[].io + unattributed_io ==
-  /// join_io, field by field).
-  bool has_shards = false;
-  obs::ShardSection shards;
 };
 
 /// Aggregate report of one server process: per-query rows, server I/O

@@ -7,8 +7,8 @@
 // Usage:
 //   pmjoin_server [--jobs=FILE|-] [--backend=sim|file] [--data-dir=DIR]
 //                 [--pool=PAGES] [--buffer=PAGES] [--queue=N]
-//                 [--threads=N] [--io-threads=N] [--shards=N]
-//                 [--page=BYTES] [--norm=l1|l2|linf] [--seed=S]
+//                 [--threads=N] [--io-threads=N] [--page=BYTES]
+//                 [--norm=l1|l2|linf] [--seed=S]
 //                 [--report=FILE] [--query-reports=DIR] [--persist]
 //                 [--no-backpressure]
 //
@@ -29,10 +29,7 @@
 // --io-threads set the per-query worker/async-I/O-thread defaults (jobs
 // may override via the "threads" / "io_threads" keys, capped by
 // admission); --io-threads only matters with --backend=file, where it
-// overlaps the physical page reads with the joins. --shards sets the
-// per-query default modeled shard count (jobs may override via the
-// "shards" key, capped by admission); sharded queries report per-shard
-// I/O with results byte-identical to single-node. --report writes the
+// overlaps the physical page reads with the joins. --report writes the
 // aggregate server report; --query-reports writes each query's
 // pmjoin.run_report.v1 to DIR/<id>.json.
 //
@@ -73,7 +70,6 @@ struct CliArgs {
   uint32_t queue = 64;
   uint32_t threads = 1;
   uint32_t io_threads = 0;
-  uint32_t shards = 1;
   uint32_t page = 1024;
   std::string norm = "l2";
   uint64_t seed = 1;
@@ -112,8 +108,6 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
       args.threads = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--io-threads", &value)) {
       args.io_threads = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--shards", &value)) {
-      args.shards = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--page", &value)) {
       args.page = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--norm", &value)) {
@@ -209,7 +203,6 @@ int Run(const CliArgs& args) {
   options.default_buffer_pages = args.buffer;
   options.default_threads = args.threads;
   options.default_io_threads = args.io_threads;
-  options.default_shards = args.shards;
   options.max_queue_depth = args.queue;
   options.page_size_bytes = args.page;
   options.norm = *norm;
@@ -286,7 +279,7 @@ int main(int argc, char** argv) {
         "usage: pmjoin_server [--jobs=FILE|-] [--backend=sim|file]\n"
         "                     [--data-dir=DIR] [--pool=PAGES]\n"
         "                     [--buffer=PAGES] [--queue=N] [--threads=N]\n"
-        "                     [--io-threads=N] [--shards=N] [--page=BYTES]\n"
+        "                     [--io-threads=N] [--page=BYTES]\n"
         "                     [--norm=l1|l2|linf]\n"
         "                     [--seed=S] [--report=FILE]\n"
         "                     [--query-reports=DIR] [--persist]\n"
@@ -299,9 +292,8 @@ int main(int argc, char** argv) {
         "keeps built datasets on the backend (with --backend=file they\n"
         "survive into the next server process). --io-threads=N overlaps\n"
         "the file backend's physical reads with the joins (async\n"
-        "prefetch); results and modeled I/O unchanged. --shards=N sets\n"
-        "the default modeled shard count (per-shard report section;\n"
-        "results byte-identical to single-node). See docs/SERVER.md.\n");
+        "prefetch); results and modeled I/O unchanged. See\n"
+        "docs/SERVER.md.\n");
     return 2;
   }
   return Run(*args);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,6 +73,23 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
     }
     wg.Wait();
     EXPECT_EQ(count.load(), 16);
+  }
+}
+
+TEST(ThreadPoolTest, WaitGroupFreedRightAfterWait) {
+  // Wait may return while the last Done() is still inside Mutex::Unlock;
+  // freeing the WaitGroup at once must be safe (under ASan, any read of
+  // the mutex after its raw unlock shows up as a heap-use-after-free).
+  ThreadPool pool(4);
+  for (int round = 0; round < 5000; ++round) {
+    auto wg = std::make_unique<WaitGroup>();
+    wg->Add(4);
+    for (int i = 0; i < 4; ++i) {
+      WaitGroup* raw = wg.get();
+      pool.Submit([raw] { raw->Done(); });
+    }
+    wg->Wait();
+    wg.reset();
   }
 }
 

@@ -33,14 +33,13 @@ struct RunResult {
 RunResult RunOnce(SmallVectorJoin& fixture,
                   const std::vector<Cluster>& clusters,
                   const std::vector<uint32_t>& order, uint32_t buffer,
-                  uint32_t num_threads, bool prefetch = true) {
+                  uint32_t num_threads) {
   RunResult result;
   const IoStats io_before = fixture.disk().stats();
   BufferPool pool(&fixture.disk(), buffer);
   CollectingSink sink;
   ExecutorOptions options;
   options.num_threads = num_threads;
-  options.prefetch_next_cluster = prefetch;
   result.status = ExecuteClusteredJoin(fixture.input(), clusters, order,
                                        &pool, &sink, &result.ops, options);
   result.pairs = sink.pairs();
@@ -108,23 +107,6 @@ TEST_P(ExecutorParallelTest, MatchesSerialWithRoomyBuffer) {
   ASSERT_TRUE(serial.status.ok());
   const RunResult parallel =
       RunOnce(fixture, clusters, order, buffer, threads);
-  ASSERT_TRUE(parallel.status.ok());
-  EXPECT_EQ(parallel.pairs, serial.pairs);
-  EXPECT_EQ(parallel.io, serial.io);
-  EXPECT_EQ(parallel.ops, serial.ops);
-}
-
-TEST_P(ExecutorParallelTest, MatchesSerialWithPrefetchDisabled) {
-  const uint32_t threads = GetParam();
-  SmallVectorJoin fixture(250, 250, 57, 0.05);
-  const uint32_t buffer = 12;
-  const auto clusters = SquareClustering(fixture.matrix(), buffer, nullptr);
-  const auto order = ScheduleClusters(clusters, fixture.input(), nullptr);
-
-  const RunResult serial = RunOnce(fixture, clusters, order, buffer, 1);
-  ASSERT_TRUE(serial.status.ok());
-  const RunResult parallel = RunOnce(fixture, clusters, order, buffer,
-                                     threads, /*prefetch=*/false);
   ASSERT_TRUE(parallel.status.ok());
   EXPECT_EQ(parallel.pairs, serial.pairs);
   EXPECT_EQ(parallel.io, serial.io);

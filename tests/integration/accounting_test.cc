@@ -3,7 +3,6 @@
 #include "core/join_driver.h"
 #include "data/generators.h"
 #include "io/simulated_disk.h"
-#include "test_util.h"
 
 namespace pmjoin {
 namespace {
@@ -13,9 +12,6 @@ JoinOptions Opt(Algorithm algorithm, uint32_t buffer) {
   options.algorithm = algorithm;
   options.buffer_pages = buffer;
   options.page_size_bytes = 64;
-  // Under PMJOIN_TEST_SHARDS the attribution identities below must keep
-  // holding with the shard coordinator in the loop.
-  options.shards = testing_util::TestShardCount();
   return options;
 }
 

@@ -7,7 +7,6 @@
 #include "core/reference_join.h"
 #include "data/generators.h"
 #include "io/simulated_disk.h"
-#include "test_util.h"
 
 namespace pmjoin {
 namespace {
@@ -45,7 +44,6 @@ TEST_P(VectorSweepTest, CoreTechniquesMatchReference) {
     jo.buffer_pages = buffer;
     jo.page_size_bytes = page_bytes;
     jo.norm = norm;
-    jo.shards = testing_util::TestShardCount();
     CollectingSink sink;
     auto report = driver.RunVector(*r, *s, eps, jo, &sink);
     ASSERT_TRUE(report.ok()) << AlgorithmName(algorithm) << ": "

@@ -32,10 +32,6 @@ JoinOptions BaseOptions(Algorithm algorithm, uint32_t buffer) {
   options.algorithm = algorithm;
   options.buffer_pages = buffer;
   options.page_size_bytes = 64;
-  // CI's sharded job (PMJOIN_TEST_SHARDS=4) re-runs every reference
-  // comparison with the shard coordinator in the loop; results must not
-  // change. Engines without clusters ignore the knob.
-  options.shards = testing_util::TestShardCount();
   return options;
 }
 

@@ -90,22 +90,40 @@ class BandedEditDistanceTest : public ::testing::TestWithParam<size_t> {};
 TEST_P(BandedEditDistanceTest, AgreesWithFullWhenWithinBand) {
   const size_t k = GetParam();
   Rng rng(11 + k);
+  size_t unequal_in_band = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    // Construct near pairs: mutate a few positions.
+    // Construct near pairs: substitute, insert, or delete a few symbols,
+    // so in-band pairs of unequal length (where the band's edge cells
+    // matter) occur too.
     auto a = RandomString(&rng, 20 + rng.Uniform(20), 4);
     auto b = a;
     const size_t edits = rng.Uniform(k + 2);
     for (size_t e = 0; e < edits; ++e) {
       const size_t pos = rng.Uniform(b.size());
-      b[pos] = static_cast<uint8_t>(rng.Uniform(4));
+      const auto symbol = static_cast<uint8_t>(rng.Uniform(4));
+      switch (rng.Uniform(3)) {
+        case 0:
+          b[pos] = symbol;
+          break;
+        case 1:
+          b.insert(b.begin() + pos, symbol);
+          break;
+        default:
+          b.erase(b.begin() + pos);
+          break;
+      }
     }
     const size_t full = EditDistance(a, b);
     const size_t banded = BandedEditDistance(a, b, k);
     if (full <= k) {
       EXPECT_EQ(banded, full);
+      if (a.size() != b.size()) ++unequal_in_band;
     } else {
       EXPECT_GT(banded, k);
     }
+  }
+  if (k > 0) {
+    EXPECT_GT(unequal_in_band, 0u);
   }
 }
 

@@ -116,15 +116,19 @@ TEST(JobLineTest, RejectsMalformedLines) {
                             "\"s\": \"road/10/2\", \"eps\": 1}")
                    .ok());
   // Unknown keys are rejected *by name* — a typo must surface as itself,
-  // not as a missing-eps or wrong-shape complaint.
-  auto unknown = ParseJobLine("{\"r\": \"road/10/1\", \"s\": \"road/10/2\", "
-                              "\"eps\": 1, \"frobnicate\": true}");
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_NE(unknown.status().message().find("unknown job key"),
-            std::string::npos)
-      << unknown.status().ToString();
-  EXPECT_NE(unknown.status().message().find("frobnicate"), std::string::npos)
-      << unknown.status().ToString();
+  // not as a missing-eps or wrong-shape complaint. "shards" is a removed
+  // key: old job lines that still set it must fail, not silently run.
+  for (const std::string key : {"frobnicate", "shards"}) {
+    auto unknown =
+        ParseJobLine("{\"r\": \"road/10/1\", \"s\": \"road/10/2\", "
+                     "\"eps\": 1, \"" + key + "\": true}");
+    ASSERT_FALSE(unknown.ok()) << key;
+    EXPECT_NE(unknown.status().message().find("unknown job key"),
+              std::string::npos)
+        << unknown.status().ToString();
+    EXPECT_NE(unknown.status().message().find(key), std::string::npos)
+        << unknown.status().ToString();
+  }
   EXPECT_FALSE(ParseJobLine("{\"r\": \"road/10/1\", \"s\": \"road/10/2\", "
                             "\"eps\": 1, \"engine\": \"ego\"}")
                    .ok());

@@ -54,18 +54,6 @@ inline std::unique_ptr<StorageBackend> MakeTestBackend(
   return std::move(opened).value();
 }
 
-/// Shard count honoring the PMJOIN_TEST_SHARDS environment variable:
-/// unset, empty, or unparsable means 1 (single-node). CI's sharded job
-/// exports PMJOIN_TEST_SHARDS=4 so the whole suite re-runs with the
-/// shard coordinator in the loop — pairs and modeled I/O must not
-/// change, which is the sharding byte-identity invariant.
-inline uint32_t TestShardCount() {
-  const char* shards = std::getenv("PMJOIN_TEST_SHARDS");
-  if (shards == nullptr) return 1;
-  const int parsed = std::atoi(shards);
-  return parsed > 1 ? static_cast<uint32_t>(parsed) : 1;
-}
-
 /// A random box in [0,1]^dims with side lengths up to `max_side`.
 inline Mbr RandomBox(Rng* rng, size_t dims, double max_side = 0.2) {
   std::vector<float> lo(dims), hi(dims);

@@ -44,14 +44,11 @@ import os
 import sys
 
 # Headline metric per table ("higher is better"; the ratio test below
-# flags drops); rows of other tables are ignored. The sharding table's
-# efficiency is fully modeled, so any change there is a planner change,
-# not noise.
+# flags drops); rows of other tables are ignored.
 TABLE_METRICS = {
     "distance_kernels": "terms_s_tiled",
     "cluster_join_file": "records_s",
     "knn_join": "records_s",
-    "sharding": "efficiency",
 }
 
 

@@ -7,11 +7,15 @@ silently:
   1. Directory map: every direct subdirectory of src/ that contains
      sources must be named in DESIGN.md (the "Repository layout" /
      architecture map), so a new subsystem cannot land undocumented.
-  2. Flag coverage: every command-line flag a tool parses (ParseFlag /
-     strcmp call sites in its main source file) must appear both in that
-     tool's own usage text and in the markdown documentation. Flags are
-     extracted from source because this runs in the lint CI job, which
-     never builds the binaries.
+  2. Flag coverage, both ways: every command-line flag a tool parses
+     (ParseFlag / strcmp call sites in its main source file) must appear
+     both in that tool's own usage text and in the markdown
+     documentation; conversely, every `--flag` token in the tool's
+     comments and string literals and every flag-table row (| `--flag
+     ...) in its documentation must name a flag the tool parses, so a
+     removed flag cannot linger in comments, usage text, or tables.
+     Flags are extracted from source because this runs in the lint CI
+     job, which never builds the binaries.
   3. Links: every relative markdown link in the documentation set must
      resolve to an existing file in the repository.
 
@@ -37,6 +41,11 @@ DOC_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
 
 FLAG_PARSE_RE = re.compile(
     r'(?:ParseFlag\(argv\[i\],\s*|std::strcmp\(argv\[i\],\s*)"(--[a-z0-9-]+)"')
+FLAG_TOKEN_RE = re.compile(r"--[a-z0-9][a-z0-9-]*")
+# `//` comments and string literals: the only places a source file names a
+# flag, so code such as `--i` is never read as one.
+PROSE_RE = re.compile(r'//.*|"(?:[^"\\]|\\.)*"')
+FLAG_ROW_RE = re.compile(r"^\|\s*`(--[a-z0-9][a-z0-9-]*)", re.MULTILINE)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SOURCE_SUFFIXES = (".h", ".cc", ".cpp")
 
@@ -96,6 +105,16 @@ def check_flags(repo, errors):
                 if flag not in text:
                     errors.append(f"{rel}: {flag} (from {source_rel}) "
                                   "is undocumented (rule 2)")
+        parsed = set(FLAG_PARSE_RE.findall(source))
+        mentioned = {token for prose in PROSE_RE.findall(source)
+                     for token in FLAG_TOKEN_RE.findall(prose)}
+        for token in sorted(mentioned - parsed):
+            errors.append(f"{source_rel}: {token} is mentioned but not "
+                          "parsed (rule 2)")
+        for rel, text in docs.items():
+            for token in sorted(set(FLAG_ROW_RE.findall(text)) - parsed):
+                errors.append(f"{rel}: flag-table row {token} is not a "
+                              f"{source_rel} flag (rule 2)")
 
 
 def doc_set(repo):

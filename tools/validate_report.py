@@ -17,11 +17,7 @@ Two layers of checking, stdlib only (no jsonschema dependency):
      must equal `io_totals` exactly. For a server report, the sum of
      per-query `io` rows plus `unattributed_io` must equal `io_totals`.
      This is the subsystem's hard invariant: the breakdown is a partition
-     of the modeled I/O, not an approximation of it. Any "shards" section
-     (top-level in a run report, per executed query in a server report)
-     carries its own ledger, checked the same way: the sum of
-     per_shard[].io plus its unattributed_io must equal its join_io, and
-     likewise per_shard[].ops against join_ops.
+     of the modeled I/O, not an approximation of it.
 
 Usage: tools/validate_report.py REPORT.json [...]
 Exit code is non-zero if any report fails.
@@ -41,9 +37,6 @@ SCHEMA_PATHS = {
 
 IO_FIELDS = ("pages_read", "pages_written", "seeks", "sequential_reads",
              "buffer_hits")
-
-OPS_FIELDS = ("distance_terms", "filter_checks", "edit_cells", "mbr_tests",
-              "cluster_ops", "result_pairs")
 
 TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -119,30 +112,6 @@ def check_ledger(report, rows, io_key, errors):
                 f"io_totals = {totals.get(field)}")
 
 
-def check_shard_ledger(section, where, errors):
-    """A shard section's own exact partition: Σ per_shard[].io +
-    unattributed_io == join_io, and the same for ops, field by field."""
-    rows = section.get("per_shard", [])
-    for key, total_key, fields in (("io", "join_io", IO_FIELDS),
-                                   ("ops", "join_ops", OPS_FIELDS)):
-        totals = section.get(total_key, {})
-        unattr = section.get("unattributed_" + key, {})
-        ledger = dict(unattr)
-        for row in rows:
-            for field, delta in row.get(key, {}).items():
-                ledger[field] = ledger.get(field, 0) + delta
-        for field in fields:
-            if ledger.get(field) != totals.get(field):
-                errors.append(
-                    f"{where}: shard ledger mismatch on {field}: "
-                    f"sum(per_shard.{key}) + unattributed = "
-                    f"{ledger.get(field)}, {total_key} = "
-                    f"{totals.get(field)}")
-    if section.get("count", 0) != 0 and len(rows) != section.get("count"):
-        errors.append(f"{where}: per_shard has {len(rows)} rows, "
-                      f"count = {section.get('count')}")
-
-
 def validate_file(path, schemas):
     errors = []
     try:
@@ -161,15 +130,9 @@ def validate_file(path, schemas):
     if name == "pmjoin.server_report.v1":
         # A server's I/O partitions over its queries' obs sessions.
         check_ledger(report, report.get("queries", []), "io", errors)
-        for query in report.get("queries", []):
-            if "shards" in query:
-                check_shard_ledger(query["shards"],
-                                   f"query {query.get('id')!r}", errors)
     else:
         # A run's I/O partitions over its span tree's exclusive deltas.
         check_ledger(report, report.get("phases", []), "io_self", errors)
-        if "shards" in report:
-            check_shard_ledger(report["shards"], "$.shards", errors)
     return errors
 
 

@@ -37,7 +37,6 @@
 #include "geom/distance.h"
 #include "geom/distance_kernels.h"
 #include "harness/bench_util.h"
-#include "common/thread_pool.h"
 #include "core/cost_clustering.h"
 #include "core/executor.h"
 #include "core/joiners.h"
@@ -279,15 +278,11 @@ class ClusterJoinFixture {
 
 /// Serial-vs-parallel executor sweep (Arg = worker count). The simulated
 /// I/O counters are exported per run and must be identical across thread
-/// counts — only wall-clock time may differ. Workers come from one
-/// external pool reused across iterations, so per-iteration cost excludes
-/// thread startup. No library caller passes a pool today (each join
-/// builds its own per call), so this isolates the executor from that cost.
+/// counts — only wall-clock time may differ. Like every library join, each
+/// parallel run builds its own worker pool, so thread startup is timed.
 void BM_ClusterJoinExecutor(benchmark::State& state) {
   ClusterJoinFixture& fixture = ClusterJoinFixture::Get();
   const auto threads = static_cast<uint32_t>(state.range(0));
-  std::optional<ThreadPool> workers;
-  if (threads > 1) workers.emplace(threads);
 
   IoStats io_delta;
   uint64_t result_pairs = 0;
@@ -297,7 +292,6 @@ void BM_ClusterJoinExecutor(benchmark::State& state) {
     CountingSink sink;
     ExecutorOptions options;
     options.num_threads = threads;
-    options.thread_pool = workers ? &*workers : nullptr;
     const Status status =
         ExecuteClusteredJoin(fixture.input(), fixture.clusters(),
                              fixture.order(), &pool, &sink, nullptr,

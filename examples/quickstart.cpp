@@ -21,7 +21,7 @@ int main() {
   SimulatedDisk disk;
 
   // 2. Generate two synthetic point sets and lay them out as paged,
-  //    spatially clustered datasets (STR packing; one R*-tree over the
+  //    spatially clustered datasets (STR packing; one R-tree over the
   //    page MBRs each).
   const VectorData red = GenRoadNetwork(20000, /*seed=*/1);
   const VectorData blue = GenRoadNetwork(15000, /*seed=*/2);

@@ -16,7 +16,7 @@ namespace pmjoin {
 /// Breadth-First R-tree Join (Huang, Jing, Rundensteiner, VLDB '97) — the
 /// paper's index-based competitor (§9).
 ///
-/// The two R*-trees are traversed level-synchronously in BFS order: the
+/// The two R-trees are traversed level-synchronously in BFS order: the
 /// list of qualifying node pairs of one level is expanded into the next
 /// level's list by testing all child pairs (MINDIST <= threshold). The
 /// BFS ordering groups accesses to each node (the original paper's global

@@ -29,12 +29,6 @@ ShardedOpCounters::ShardedOpCounters(size_t num_shards)
     : num_shards_(num_shards == 0 ? 1 : num_shards),
       shards_(new PaddedCounters[num_shards_]) {}
 
-OpCounters ShardedOpCounters::Total() const {
-  OpCounters total;
-  for (size_t i = 0; i < num_shards_; ++i) total += shards_[i].counters;
-  return total;
-}
-
 void ShardedOpCounters::DrainInto(OpCounters* total) {
   for (size_t i = 0; i < num_shards_; ++i) {
     if (total != nullptr) *total += shards_[i].counters;

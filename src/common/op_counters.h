@@ -68,9 +68,6 @@ class ShardedOpCounters {
   /// Shard `i`'s counters; each thread must use a distinct shard.
   OpCounters* shard(size_t i) { return &shards_[i].counters; }
 
-  /// Element-wise sum of all shards.
-  OpCounters Total() const;
-
   /// Adds every shard into `total` (no-op when `total` is null) and zeroes
   /// the shards for reuse.
   void DrainInto(OpCounters* total);

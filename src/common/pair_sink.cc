@@ -21,31 +21,12 @@ ShardedPairSink::ShardedPairSink(size_t num_shards)
     : num_shards_(num_shards == 0 ? 1 : num_shards),
       shards_(new PaddedShard[num_shards_]) {}
 
-size_t ShardedPairSink::BufferedCount() const {
-  size_t total = 0;
-  for (size_t i = 0; i < num_shards_; ++i)
-    total += shards_[i].shard.pairs_.size();
-  return total;
-}
-
 void ShardedPairSink::Drain(PairSink* out) {
   for (size_t i = 0; i < num_shards_; ++i) {
     auto& pairs = shards_[i].shard.pairs_;
     for (const auto& [r, s] : pairs) out->OnPair(r, s);
     pairs.clear();
   }
-}
-
-void ShardedPairSink::DrainSorted(PairSink* out) {
-  std::vector<std::pair<uint64_t, uint64_t>> all;
-  all.reserve(BufferedCount());
-  for (size_t i = 0; i < num_shards_; ++i) {
-    auto& pairs = shards_[i].shard.pairs_;
-    all.insert(all.end(), pairs.begin(), pairs.end());
-    pairs.clear();
-  }
-  std::sort(all.begin(), all.end());
-  for (const auto& [r, s] : all) out->OnPair(r, s);
 }
 
 }  // namespace pmjoin

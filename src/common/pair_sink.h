@@ -80,8 +80,7 @@ class CollectingSink : public PairSink {
 /// partitioned into contiguous chunks assigned to shards 0..n−1 in order
 /// (as the parallel executor does per cluster), the drained emission
 /// sequence is exactly the serial one — no sorting needed for
-/// reproducibility. `DrainSorted` additionally sorts, for comparing
-/// against operators with a different emission order.
+/// reproducibility.
 class ShardedPairSink {
  public:
   /// A buffering sink for one worker thread.
@@ -104,16 +103,9 @@ class ShardedPairSink {
   /// Shard `i`; each thread must emit into a distinct shard.
   PairSink* shard(size_t i) { return &shards_[i].shard; }
 
-  /// Pairs buffered across all shards.
-  size_t BufferedCount() const;
-
   /// Forwards every buffered pair to `out` in shard order (shard 0's pairs
   /// in emission order, then shard 1's, ...) and clears the buffers.
   void Drain(PairSink* out);
-
-  /// Like `Drain`, but forwards the union of all shards sorted by
-  /// (r, s) — a deterministic order regardless of how work was sharded.
-  void DrainSorted(PairSink* out);
 
  private:
   /// Padded so concurrent emission into adjacent shards does not contend

@@ -46,11 +46,6 @@ uint64_t Rng::Uniform(uint64_t bound) {
   }
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  return lo + static_cast<int64_t>(
-                  Uniform(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 double Rng::UniformDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }

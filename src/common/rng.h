@@ -26,9 +26,6 @@ class Rng {
   /// Uniform integer in [0, bound). `bound` must be > 0.
   uint64_t Uniform(uint64_t bound);
 
-  /// Uniform integer in [lo, hi]. Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1).
   double UniformDouble();
 

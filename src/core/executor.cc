@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "io/async_reader.h"
 #include "io/disk_scheduler.h"
 #include "obs/span.h"
@@ -231,15 +232,10 @@ Status ExecuteSerial(const JoinInput& input,
 Status ExecuteParallel(const JoinInput& input,
                        const std::vector<Cluster>& clusters,
                        std::span<const uint32_t> order, BufferPool* pool,
-                       PairSink* sink, OpCounters* ops,
-                       const ExecutorOptions& options, AsyncReader* reader) {
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* workers = options.thread_pool;
-  if (workers == nullptr) {
-    owned_pool.emplace(options.num_threads);
-    workers = &*owned_pool;
-  }
-  const uint32_t num_workers = workers->size();
+                       PairSink* sink, OpCounters* ops, uint32_t num_threads,
+                       AsyncReader* reader) {
+  ThreadPool workers(num_threads);
+  const uint32_t num_workers = workers.size();
 
   ShardedPairSink pair_shards(num_workers);
   ShardedOpCounters op_shards(num_workers);
@@ -266,7 +262,7 @@ Status ExecuteParallel(const JoinInput& input,
                                                hi - lo);
       PairSink* chunk_sink = pair_shards.shard(c);
       OpCounters* chunk_ops = op_shards.shard(c);
-      workers->Submit([&input, &wg, chunk, chunk_sink, chunk_ops] {
+      workers.Submit([&input, &wg, chunk, chunk_sink, chunk_ops] {
         {
           // Scoped so the span's final read of *chunk_ops completes before
           // Done() releases the chunk to the coordinator's drain.
@@ -356,8 +352,8 @@ Status ExecuteClusteredJoin(const JoinInput& input,
 
   if (options.num_threads <= 1)
     return ExecuteSerial(input, clusters, order, pool, sink, ops, reader_ptr);
-  return ExecuteParallel(input, clusters, order, pool, sink, ops, options,
-                         reader_ptr);
+  return ExecuteParallel(input, clusters, order, pool, sink, ops,
+                         options.num_threads, reader_ptr);
 }
 
 }  // namespace pmjoin

@@ -8,7 +8,6 @@
 #include "common/op_counters.h"
 #include "common/pair_sink.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/cluster.h"
 #include "io/buffer_pool.h"
 
@@ -25,11 +24,6 @@ struct ExecutorOptions {
   /// shards in chunk order, so the emitted pair sequence and the
   /// aggregated `OpCounters` are identical to the serial run's.
   uint32_t num_threads = 1;
-
-  /// Optional externally owned pool of workers to reuse across calls
-  /// (must have >= 1 thread). When null and num_threads > 1, the call
-  /// creates a transient pool of num_threads workers.
-  ThreadPool* thread_pool = nullptr;
 
   /// Dedicated I/O threads for the async read pipeline (0, the default,
   /// keeps every physical read synchronous). When > 0 and the backend

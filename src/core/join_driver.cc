@@ -3,6 +3,8 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/bfrj.h"
@@ -68,6 +70,18 @@ const RStarTree* JoinDriver::SequencePageTree(
   const RStarTree* raw = tree.get();
   seq_trees_.emplace(store_key, std::move(tree));
   return raw;
+}
+
+JoinReport JoinDriver::FinishReport(JoinReport report,
+                                    const IoStats& io_before,
+                                    const OpCounters& ops) const {
+  report.io = disk_->stats().Delta(io_before);
+  report.ops = ops;
+  report.io_seconds = report.io.ModeledSeconds(disk_->model());
+  report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
+  report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
+  report.result_pairs = ops.result_pairs;
+  return report;
 }
 
 namespace {
@@ -244,14 +258,7 @@ Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
                             sink, &ops, &report, resources.shared_pool);
   }
   if (!st.ok()) return st;
-
-  report.io = disk_->stats().Delta(io_before);
-  report.ops = ops;
-  report.io_seconds = report.io.ModeledSeconds(disk_->model());
-  report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
-  report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
-  report.result_pairs = ops.result_pairs;
-  return report;
+  return FinishReport(std::move(report), io_before, ops);
 }
 
 Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
@@ -316,14 +323,81 @@ Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
                              &ops, workers.get());
   if (!st.ok()) return st;
   results.Emit(sink, &ops);
+  return FinishReport(std::move(report), io_before, ops);
+}
 
-  report.io = disk_->stats().Delta(io_before);
-  report.ops = ops;
-  report.io_seconds = report.io.ModeledSeconds(disk_->model());
-  report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
-  report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
-  report.result_pairs = ops.result_pairs;
-  return report;
+template <typename Joiner, typename Store, typename Threshold, typename Ego>
+Result<JoinReport> JoinDriver::RunSequence(const char* caller, const Store& r,
+                                           const Store& s, Threshold threshold,
+                                           Norm norm, Ego ego,
+                                           const JoinOptions& options,
+                                           PairSink* sink) {
+  if (r.layout().window_len != s.layout().window_len)
+    return Status::InvalidArgument(std::string(caller) +
+                                   ": window length mismatch");
+  if (options.algorithm == Algorithm::kPbsm)
+    return Status::Unimplemented(
+        "PBSM requires in-place partitioning; sequence data cannot be "
+        "reordered (paper 3)");
+  const bool self = &r == &s;
+  Joiner joiner(&r, &s, threshold, self);
+  JoinInput input;
+  input.r_file = r.file_id();
+  input.s_file = s.file_id();
+  input.r_pages = r.layout().NumPages();
+  input.s_pages = s.layout().NumPages();
+  input.self_join = self;
+  input.joiner = &joiner;
+
+  const IoStats io_before = disk_->stats();
+  OpCounters ops;
+  JoinReport report;
+  report.algorithm = options.algorithm;
+  PMJOIN_SPAN_OPS("join", &ops);
+
+  // Only the paths that walk the page trees build them: each build
+  // registers a node file on the disk.
+  const auto page_trees = [&] {
+    const RStarTree* rt = SequencePageTree(&r, r.page_mbrs());
+    return std::pair{rt, self ? rt : SequencePageTree(&s, s.page_mbrs())};
+  };
+  Status st;
+  if (options.algorithm == Algorithm::kEgo) {
+    PMJOIN_SPAN_OPS("ego", &ops);
+    BufferPool pool(disk_, options.buffer_pages);
+    st = ego(r, s, self, threshold, disk_, &pool, sink, &ops);
+  } else if (options.algorithm == Algorithm::kBfrj) {
+    PMJOIN_SPAN_OPS("bfrj", &ops);
+    const auto [rt, stree] = page_trees();
+    BufferPool pool(disk_, options.buffer_pages);
+    st = BfrjJoin(*rt, *stree, input, joiner.MatrixThreshold(), norm,
+                  options.page_size_bytes, disk_, &pool, sink, &ops);
+  } else {
+    OpCounters* build_ops =
+        options.algorithm == Algorithm::kNlj ? nullptr : &ops;
+    std::optional<PredictionMatrix> matrix;
+    if (options.hierarchical_matrix) {
+      const auto [rt, stree] = page_trees();
+      matrix = BuildPredictionMatrixHierarchical(
+          *rt, *stree, input.r_pages, input.s_pages, joiner.MatrixThreshold(),
+          norm, options.filter_iterations, build_ops);
+    } else {
+      matrix = BuildPredictionMatrixFlat(r.page_mbrs(), s.page_mbrs(),
+                                         joiner.MatrixThreshold(), norm,
+                                         build_ops);
+    }
+    report.marked_entries = matrix->MarkedCount();
+    report.matrix_rows = matrix->rows();
+    report.matrix_cols = matrix->cols();
+    report.matrix_selectivity = matrix->Selectivity();
+    // Phase boundary (paranoid builds): the freshly built matrix must be
+    // finalized and structurally sound before any operator consumes it.
+    PMJOIN_DCHECK_OK(matrix->ValidateInvariants());
+    st = RunMatrixAlgorithm(input, *matrix, options, disk_->model(), disk_,
+                            sink, &ops, &report, nullptr);
+  }
+  if (!st.ok()) return st;
+  return FinishReport(std::move(report), io_before, ops);
 }
 
 Result<JoinReport> JoinDriver::RunTimeSeries(const TimeSeriesStore& r,
@@ -331,74 +405,9 @@ Result<JoinReport> JoinDriver::RunTimeSeries(const TimeSeriesStore& r,
                                              double eps,
                                              const JoinOptions& options,
                                              PairSink* sink) {
-  if (r.layout().window_len != s.layout().window_len)
-    return Status::InvalidArgument("RunTimeSeries: window length mismatch");
-  if (options.algorithm == Algorithm::kPbsm)
-    return Status::Unimplemented(
-        "PBSM requires in-place partitioning; sequence data cannot be "
-        "reordered (paper 3)");
-  const bool self = &r == &s;
-  TimeSeriesPairJoiner joiner(&r, &s, eps, self);
-  JoinInput input;
-  input.r_file = r.file_id();
-  input.s_file = s.file_id();
-  input.r_pages = r.layout().NumPages();
-  input.s_pages = s.layout().NumPages();
-  input.self_join = self;
-  input.joiner = &joiner;
-
-  const IoStats io_before = disk_->stats();
-  OpCounters ops;
-  JoinReport report;
-  report.algorithm = options.algorithm;
-  PMJOIN_SPAN_OPS("join", &ops);
-
-  Status st;
-  if (options.algorithm == Algorithm::kEgo) {
-    PMJOIN_SPAN_OPS("ego", &ops);
-    BufferPool pool(disk_, options.buffer_pages);
-    st = EgoJoinTimeSeries(r, s, self, eps, disk_, &pool, sink, &ops);
-  } else if (options.algorithm == Algorithm::kBfrj) {
-    PMJOIN_SPAN_OPS("bfrj", &ops);
-    const RStarTree* rt = SequencePageTree(&r, r.page_mbrs());
-    const RStarTree* stree =
-        self ? rt : SequencePageTree(&s, s.page_mbrs());
-    BufferPool pool(disk_, options.buffer_pages);
-    st = BfrjJoin(*rt, *stree, input, joiner.MatrixThreshold(), Norm::kL2,
-                  options.page_size_bytes, disk_, &pool, sink, &ops);
-  } else {
-    OpCounters* build_ops =
-        options.algorithm == Algorithm::kNlj ? nullptr : &ops;
-    PredictionMatrix matrix =
-        options.hierarchical_matrix
-            ? BuildPredictionMatrixHierarchical(
-                  *SequencePageTree(&r, r.page_mbrs()),
-                  self ? *SequencePageTree(&r, r.page_mbrs())
-                       : *SequencePageTree(&s, s.page_mbrs()),
-                  input.r_pages, input.s_pages, joiner.MatrixThreshold(),
-                  Norm::kL2, options.filter_iterations, build_ops)
-            : BuildPredictionMatrixFlat(r.page_mbrs(), s.page_mbrs(),
-                                        joiner.MatrixThreshold(), Norm::kL2,
-                                        build_ops);
-    report.marked_entries = matrix.MarkedCount();
-    report.matrix_rows = matrix.rows();
-    report.matrix_cols = matrix.cols();
-    report.matrix_selectivity = matrix.Selectivity();
-    // Phase boundary (paranoid builds): the freshly built matrix must be
-    // finalized and structurally sound before any operator consumes it.
-    PMJOIN_DCHECK_OK(matrix.ValidateInvariants());
-    st = RunMatrixAlgorithm(input, matrix, options, disk_->model(), disk_,
-                            sink, &ops, &report, nullptr);
-  }
-  if (!st.ok()) return st;
-
-  report.io = disk_->stats().Delta(io_before);
-  report.ops = ops;
-  report.io_seconds = report.io.ModeledSeconds(disk_->model());
-  report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
-  report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
-  report.result_pairs = ops.result_pairs;
-  return report;
+  return RunSequence<TimeSeriesPairJoiner>("RunTimeSeries", r, s, eps,
+                                           Norm::kL2, EgoJoinTimeSeries,
+                                           options, sink);
 }
 
 Result<JoinReport> JoinDriver::RunString(const StringSequenceStore& r,
@@ -406,74 +415,9 @@ Result<JoinReport> JoinDriver::RunString(const StringSequenceStore& r,
                                          uint32_t max_edits,
                                          const JoinOptions& options,
                                          PairSink* sink) {
-  if (r.layout().window_len != s.layout().window_len)
-    return Status::InvalidArgument("RunString: window length mismatch");
-  if (options.algorithm == Algorithm::kPbsm)
-    return Status::Unimplemented(
-        "PBSM requires in-place partitioning; sequence data cannot be "
-        "reordered (paper 3)");
-  const bool self = &r == &s;
-  StringPairJoiner joiner(&r, &s, max_edits, self);
-  JoinInput input;
-  input.r_file = r.file_id();
-  input.s_file = s.file_id();
-  input.r_pages = r.layout().NumPages();
-  input.s_pages = s.layout().NumPages();
-  input.self_join = self;
-  input.joiner = &joiner;
-
-  const IoStats io_before = disk_->stats();
-  OpCounters ops;
-  JoinReport report;
-  report.algorithm = options.algorithm;
-  PMJOIN_SPAN_OPS("join", &ops);
-
-  Status st;
-  if (options.algorithm == Algorithm::kEgo) {
-    PMJOIN_SPAN_OPS("ego", &ops);
-    BufferPool pool(disk_, options.buffer_pages);
-    st = EgoJoinStrings(r, s, self, max_edits, disk_, &pool, sink, &ops);
-  } else if (options.algorithm == Algorithm::kBfrj) {
-    PMJOIN_SPAN_OPS("bfrj", &ops);
-    const RStarTree* rt = SequencePageTree(&r, r.page_mbrs());
-    const RStarTree* stree =
-        self ? rt : SequencePageTree(&s, s.page_mbrs());
-    BufferPool pool(disk_, options.buffer_pages);
-    st = BfrjJoin(*rt, *stree, input, joiner.MatrixThreshold(), Norm::kL1,
-                  options.page_size_bytes, disk_, &pool, sink, &ops);
-  } else {
-    OpCounters* build_ops =
-        options.algorithm == Algorithm::kNlj ? nullptr : &ops;
-    PredictionMatrix matrix =
-        options.hierarchical_matrix
-            ? BuildPredictionMatrixHierarchical(
-                  *SequencePageTree(&r, r.page_mbrs()),
-                  self ? *SequencePageTree(&r, r.page_mbrs())
-                       : *SequencePageTree(&s, s.page_mbrs()),
-                  input.r_pages, input.s_pages, joiner.MatrixThreshold(),
-                  Norm::kL1, options.filter_iterations, build_ops)
-            : BuildPredictionMatrixFlat(r.page_mbrs(), s.page_mbrs(),
-                                        joiner.MatrixThreshold(), Norm::kL1,
-                                        build_ops);
-    report.marked_entries = matrix.MarkedCount();
-    report.matrix_rows = matrix.rows();
-    report.matrix_cols = matrix.cols();
-    report.matrix_selectivity = matrix.Selectivity();
-    // Phase boundary (paranoid builds): the freshly built matrix must be
-    // finalized and structurally sound before any operator consumes it.
-    PMJOIN_DCHECK_OK(matrix.ValidateInvariants());
-    st = RunMatrixAlgorithm(input, matrix, options, disk_->model(), disk_,
-                            sink, &ops, &report, nullptr);
-  }
-  if (!st.ok()) return st;
-
-  report.io = disk_->stats().Delta(io_before);
-  report.ops = ops;
-  report.io_seconds = report.io.ModeledSeconds(disk_->model());
-  report.cpu_join_seconds = cpu_model_.JoinSeconds(ops);
-  report.preprocess_seconds = cpu_model_.PreprocessSeconds(ops);
-  report.result_pairs = ops.result_pairs;
-  return report;
+  return RunSequence<StringPairJoiner>("RunString", r, s, max_edits,
+                                       Norm::kL1, EgoJoinStrings, options,
+                                       sink);
 }
 
 }  // namespace pmjoin

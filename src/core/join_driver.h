@@ -51,7 +51,7 @@ struct JoinOptions {
   /// Norm for vector-data predicates (sequence joins fix their own).
   Norm norm = Norm::kL2;
 
-  /// Vector data: build the matrix hierarchically from the R*-trees with
+  /// Vector data: build the matrix hierarchically from the R-trees with
   /// the Fig. 2 filter (true) or by a flat leaf sweep (false).
   bool hierarchical_matrix = true;
 
@@ -167,7 +167,7 @@ struct JoinReport {
 /// fully attributed cost report. This is the public API the examples and
 /// benches use.
 ///
-/// The driver owns nothing but caches: R*-tree node files (for BFRJ) and
+/// The driver owns nothing but caches: R-tree node files (for BFRJ) and
 /// sequence page trees are created on the driver's disk on first use.
 class JoinDriver {
  public:
@@ -220,6 +220,21 @@ class JoinDriver {
   /// node file attached for BFRJ I/O accounting).
   const RStarTree* SequencePageTree(const void* store_key,
                                     const std::vector<Mbr>& page_mbrs);
+
+  /// The body of RunTimeSeries and RunString. `Joiner` joins page pairs of
+  /// `Store` under `threshold`, `norm` is the norm of the page summaries
+  /// the matrix and BFRJ test, `ego` is the store type's EGO entry point,
+  /// and `caller` prefixes argument errors.
+  template <typename Joiner, typename Store, typename Threshold, typename Ego>
+  Result<JoinReport> RunSequence(const char* caller, const Store& r,
+                                 const Store& s, Threshold threshold,
+                                 Norm norm, Ego ego,
+                                 const JoinOptions& options, PairSink* sink);
+
+  /// `report` with the I/O since `io_before`, the counters `ops` and their
+  /// modeled seconds filled in.
+  JoinReport FinishReport(JoinReport report, const IoStats& io_before,
+                          const OpCounters& ops) const;
 
   StorageBackend* disk_;
   CpuCostModel cpu_model_;

@@ -57,7 +57,7 @@ PredictionMatrix BuildPredictionMatrixFlat(const std::vector<Mbr>& r_pages,
                                            OpCounters* ops);
 
 /// Builds the prediction matrix by the hierarchical algorithm of Fig. 1:
-/// simultaneous descent of the two R*-trees, filtering (Fig. 2) and
+/// simultaneous descent of the two R-trees, filtering (Fig. 2) and
 /// sweeping the child sets of each intersecting node pair. Produces exactly
 /// the same matrix as the flat construction (property-tested) at much lower
 /// CPU cost for large page counts.

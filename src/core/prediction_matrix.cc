@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 namespace pmjoin {
 
@@ -39,18 +38,6 @@ std::vector<MatrixEntry> PredictionMatrix::AllEntries() const {
     for (uint32_t c : row_entries_[r]) out.push_back(MatrixEntry{r, c});
   }
   return out;
-}
-
-uint32_t PredictionMatrix::MarkedRowCount() const {
-  uint32_t count = 0;
-  for (const std::vector<uint32_t>& cols : row_entries_) {
-    if (!cols.empty()) ++count;
-  }
-  return count;
-}
-
-uint32_t PredictionMatrix::MarkedColCount() const {
-  return static_cast<uint32_t>(MarkedCols().size());
 }
 
 std::vector<uint32_t> PredictionMatrix::MarkedRows() const {
@@ -97,13 +84,6 @@ Status PredictionMatrix::ValidateInvariants() const {
   if (total != marked_count_)
     return Status::Internal("marked_count does not match row storage");
   return Status::OK();
-}
-
-std::string PredictionMatrix::ToDebugString() const {
-  std::ostringstream os;
-  os << rows_ << "x" << cols_ << " marked=" << marked_count_
-     << " sel=" << Selectivity();
-  return os.str();
 }
 
 }  // namespace pmjoin

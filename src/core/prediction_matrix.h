@@ -2,7 +2,6 @@
 #define PMJOIN_CORE_PREDICTION_MATRIX_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -61,14 +60,6 @@ class PredictionMatrix {
   /// All marked entries in row-major order. Requires Finalize().
   std::vector<MatrixEntry> AllEntries() const;
 
-  /// Number of rows with at least one marked entry (the r of Theorem 2's
-  /// per-cluster saving w − min{r, c} when applied to a sub-matrix).
-  uint32_t MarkedRowCount() const;
-
-  /// Number of columns with at least one marked entry (the c of
-  /// Theorem 2).
-  uint32_t MarkedColCount() const;
-
   /// Marked pages of R (rows with >= 1 entry), ascending.
   std::vector<uint32_t> MarkedRows() const;
 
@@ -78,8 +69,6 @@ class PredictionMatrix {
   /// Fraction of the full grid that is marked (the paper's page-level
   /// query selectivity).
   double Selectivity() const;
-
-  std::string ToDebugString() const;
 
   /// Structural audit: the matrix is finalized, every row's column list is
   /// strictly ascending (sorted, deduplicated) with all ids < cols(), and

@@ -20,7 +20,7 @@ namespace pmjoin {
 /// Construction follows the paper's §5.1 setup: records are packed into
 /// pages with STR so each page is spatially tight, the page contents are
 /// contiguous on disk (page i precedes page i+1 physically), each page's
-/// MBR is its lower-bounding summary, and an R*-tree is bulk-loaded over
+/// MBR is its lower-bounding summary, and an R-tree is bulk-loaded over
 /// the page MBRs ("the capacity of each MBR is set to one page size").
 ///
 /// Record identity: operators report the *original* record index (the
@@ -54,7 +54,7 @@ class VectorDataset {
   Status Persist(StorageBackend* disk) const;
 
   /// Restores a dataset persisted as `name`. The page contents, page MBRs,
-  /// original-id mapping, and bulk-loaded R*-tree are reconstructed
+  /// original-id mapping, and bulk-loaded R-tree are reconstructed
   /// bit-identically to the original build (floats round-trip exactly;
   /// every derived structure is recomputed by the same deterministic
   /// code), so joins against a reopened dataset match the fresh build
@@ -123,9 +123,8 @@ class VectorDataset {
     return static_cast<uint32_t>(origin_pos_[orig_id] / records_per_page_);
   }
 
-  /// R*-tree over the page MBRs (leaf entry ids are page indices).
+  /// STR-packed R-tree over the page MBRs (leaf entry ids are page indices).
   const RStarTree& tree() const { return tree_; }
-  RStarTree* mutable_tree() { return &tree_; }
 
  private:
   VectorDataset() : tree_(1) {}

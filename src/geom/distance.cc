@@ -45,16 +45,6 @@ double VectorDistance(std::span<const float> a, std::span<const float> b,
   return 0.0;
 }
 
-double SquaredL2(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double d = double(a[i]) - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
 double DistanceStat(std::span<const float> a, std::span<const float> b,
                     Norm norm) {
   assert(a.size() == b.size());

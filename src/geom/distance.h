@@ -30,9 +30,6 @@ std::string NormName(Norm norm);
 double VectorDistance(std::span<const float> a, std::span<const float> b,
                       Norm norm);
 
-/// Squared L2 distance (no sqrt); convenient for threshold comparisons.
-double SquaredL2(std::span<const float> a, std::span<const float> b);
-
 /// True iff distance(a, b) <= eps under `norm`, with early abandoning:
 /// the accumulation stops as soon as the partial sum exceeds the threshold.
 bool WithinDistance(std::span<const float> a, std::span<const float> b,

@@ -214,25 +214,6 @@ double Mbr::Area() const {
   return area;
 }
 
-double Mbr::Margin() const {
-  if (empty()) return 0.0;
-  double margin = 0.0;
-  for (size_t d = 0; d < dims(); ++d) margin += double(hi_[d]) - lo_[d];
-  return margin;
-}
-
-double Mbr::OverlapArea(const Mbr& other) const {
-  assert(other.dims() == dims());
-  double area = 1.0;
-  for (size_t d = 0; d < dims(); ++d) {
-    const double w = std::min(double(hi_[d]), double(other.hi_[d])) -
-                     std::max(double(lo_[d]), double(other.lo_[d]));
-    if (w <= 0.0) return 0.0;
-    area *= w;
-  }
-  return area;
-}
-
 double Mbr::Center(size_t d) const { return 0.5 * (double(lo_[d]) + hi_[d]); }
 
 bool Mbr::operator==(const Mbr& other) const {

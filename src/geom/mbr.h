@@ -97,14 +97,8 @@ class Mbr {
   bool MinDistWithin(std::span<const float> point, Norm norm,
                      double threshold) const;
 
-  /// Product of side lengths (used by the R*-tree split heuristics).
+  /// Product of side lengths.
   double Area() const;
-
-  /// Sum of side lengths (the R*-tree "margin").
-  double Margin() const;
-
-  /// Area of the intersection with `other` (0 when disjoint).
-  double OverlapArea(const Mbr& other) const;
 
   /// Center coordinate along dimension `d`.
   double Center(size_t d) const;

@@ -1,66 +1,31 @@
 #include "index/rstar_tree.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
 #include <unordered_set>
 
+#include "common/check.h"
 #include "index/str_bulk_load.h"
 
 namespace pmjoin {
 
-RStarTree::RStarTree(size_t dims, Options options)
-    : dims_(dims), options_(options) {
-  assert(options_.max_entries >= 4);
-  assert(options_.min_entries >= 2);
-  assert(options_.min_entries <= options_.max_entries / 2);
-  assert(options_.reinsert_count < options_.max_entries);
-  root_ = NewNode(/*level=*/0);
-}
-
-uint32_t RStarTree::NewNode(uint32_t level) {
-  nodes_.emplace_back(dims_, level);
-  return static_cast<uint32_t>(nodes_.size() - 1);
-}
-
-void RStarTree::RecomputeMbr(uint32_t node_id) {
-  Node& n = nodes_[node_id];
-  n.mbr = Mbr(dims_);
-  for (const Entry& e : n.entries) n.mbr.Expand(e.mbr);
-}
-
-void RStarTree::SyncEntryMbrsUpward(const std::vector<uint32_t>& path,
-                                    uint32_t node_id) {
-  // Walk ancestors bottom-up, refreshing each parent's entry for its child
-  // and then the parent's own MBR, so the stored entry boxes always equal
-  // the child node boxes (searches prune on entry boxes).
-  uint32_t child = node_id;
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    Node& parent = nodes_[*it];
-    for (Entry& e : parent.entries) {
-      if (e.id == child) {
-        e.mbr = nodes_[child].mbr;
-        break;
-      }
-    }
-    RecomputeMbr(*it);
-    child = *it;
-  }
+RStarTree::RStarTree(size_t dims) : dims_(dims) {
+  nodes_.emplace_back(dims_, /*level_in=*/0);
 }
 
 RStarTree RStarTree::BulkLoadStr(size_t dims,
                                  std::vector<Entry> leaf_entries,
                                  Options options) {
-  RStarTree tree(dims, options);
+  // A fanout of 1 would never shrink a level.
+  assert(options.max_entries >= 2);
+  RStarTree tree(dims);
+  tree.options_ = options;
   if (leaf_entries.empty()) return tree;
   tree.nodes_.clear();
   tree.size_ = leaf_entries.size();
 
   // Pack the current level's entries into nodes, then iterate upward.
   std::vector<Entry> level_entries = std::move(leaf_entries);
-  uint32_t level = 0;
-  for (;;) {
+  for (uint32_t level = 0;; ++level) {
     std::vector<Mbr> boxes;
     boxes.reserve(level_entries.size());
     for (const Entry& e : level_entries) boxes.push_back(e.mbr);
@@ -70,296 +35,33 @@ RStarTree RStarTree::BulkLoadStr(size_t dims,
     std::vector<Entry> next;
     next.reserve(groups.size());
     for (const std::vector<uint32_t>& group : groups) {
-      const uint32_t node_id = tree.NewNode(level);
-      Node& n = tree.nodes_[node_id];
+      Node& n = tree.nodes_.emplace_back(dims, level);
       n.entries.reserve(group.size());
-      for (uint32_t i : group) n.entries.push_back(level_entries[i]);
-      tree.RecomputeMbr(node_id);
-      next.push_back(Entry{n.mbr, node_id});
+      for (uint32_t i : group) {
+        n.entries.push_back(level_entries[i]);
+        n.mbr.Expand(level_entries[i].mbr);
+      }
+      next.push_back(
+          Entry{n.mbr, static_cast<uint32_t>(tree.nodes_.size() - 1)});
     }
     if (next.size() == 1) {
       tree.root_ = next[0].id;
       break;
     }
     level_entries = std::move(next);
-    ++level;
   }
+  PMJOIN_DCHECK_OK(tree.ValidateInvariants());
   return tree;
-}
-
-namespace {
-
-double AreaEnlargement(const Mbr& box, const Mbr& add) {
-  Mbr u = box;
-  u.Expand(add);
-  return u.Area() - box.Area();
-}
-
-}  // namespace
-
-uint32_t RStarTree::ChooseSubtree(const Mbr& mbr, uint32_t target_level,
-                                  std::vector<uint32_t>* path) const {
-  uint32_t current = root_;
-  while (nodes_[current].level > target_level) {
-    path->push_back(current);
-    const Node& n = nodes_[current];
-    const bool children_are_leaves = n.level == 1;
-    uint32_t best = n.entries[0].id;
-    double best_primary = std::numeric_limits<double>::max();
-    double best_secondary = std::numeric_limits<double>::max();
-    double best_area = std::numeric_limits<double>::max();
-
-    for (const Entry& e : n.entries) {
-      double primary;
-      const double enlargement = AreaEnlargement(e.mbr, mbr);
-      if (children_are_leaves) {
-        // R*: minimize overlap enlargement w.r.t. siblings.
-        Mbr enlarged = e.mbr;
-        enlarged.Expand(mbr);
-        double overlap_before = 0.0;
-        double overlap_after = 0.0;
-        for (const Entry& other : n.entries) {
-          if (&other == &e) continue;
-          overlap_before += e.mbr.OverlapArea(other.mbr);
-          overlap_after += enlarged.OverlapArea(other.mbr);
-        }
-        primary = overlap_after - overlap_before;
-      } else {
-        primary = enlargement;
-      }
-      const double secondary = children_are_leaves ? enlargement : 0.0;
-      const double area = e.mbr.Area();
-      if (primary < best_primary ||
-          (primary == best_primary && secondary < best_secondary) ||
-          (primary == best_primary && secondary == best_secondary &&
-           area < best_area)) {
-        best_primary = primary;
-        best_secondary = secondary;
-        best_area = area;
-        best = e.id;
-      }
-    }
-    current = best;
-  }
-  return current;
-}
-
-void RStarTree::Insert(const Mbr& mbr, uint32_t data_id) {
-  std::vector<bool> reinserted(height() + 2, false);
-  InsertEntry(Entry{mbr, data_id}, /*target_level=*/0, reinserted);
-  ++size_;
-}
-
-void RStarTree::InsertEntry(const Entry& entry, uint32_t target_level,
-                            std::vector<bool>& reinserted_at_level) {
-  std::vector<uint32_t> path;
-  const uint32_t node_id = ChooseSubtree(entry.mbr, target_level, &path);
-  nodes_[node_id].entries.push_back(entry);
-  nodes_[node_id].mbr.Expand(entry.mbr);
-  SyncEntryMbrsUpward(path, node_id);
-
-  if (nodes_[node_id].entries.size() > options_.max_entries) {
-    OverflowTreatment(node_id, path, reinserted_at_level);
-  }
-}
-
-void RStarTree::OverflowTreatment(uint32_t node_id,
-                                  std::vector<uint32_t>& path,
-                                  std::vector<bool>& reinserted_at_level) {
-  Node& n = nodes_[node_id];
-  const uint32_t level = n.level;
-  if (level >= reinserted_at_level.size())
-    reinserted_at_level.resize(level + 1, false);
-
-  if (node_id != root_ && !reinserted_at_level[level]) {
-    reinserted_at_level[level] = true;
-    // Forced reinsert: remove the reinsert_count entries whose centers are
-    // farthest from the node center, re-add them (farthest first).
-    std::vector<double> center(dims_);
-    for (size_t d = 0; d < dims_; ++d) center[d] = n.mbr.Center(d);
-    std::vector<std::pair<double, size_t>> by_dist;
-    by_dist.reserve(n.entries.size());
-    for (size_t i = 0; i < n.entries.size(); ++i) {
-      double sq = 0.0;
-      for (size_t d = 0; d < dims_; ++d) {
-        const double dd = n.entries[i].mbr.Center(d) - center[d];
-        sq += dd * dd;
-      }
-      by_dist.emplace_back(sq, i);
-    }
-    std::sort(by_dist.begin(), by_dist.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-
-    std::vector<Entry> removed;
-    std::vector<bool> drop(n.entries.size(), false);
-    for (uint32_t k = 0; k < options_.reinsert_count; ++k) {
-      removed.push_back(n.entries[by_dist[k].second]);
-      drop[by_dist[k].second] = true;
-    }
-    std::vector<Entry> kept;
-    kept.reserve(n.entries.size() - removed.size());
-    for (size_t i = 0; i < n.entries.size(); ++i) {
-      if (!drop[i]) kept.push_back(n.entries[i]);
-    }
-    n.entries = std::move(kept);
-    RecomputeMbr(node_id);
-    SyncEntryMbrsUpward(path, node_id);
-
-    for (const Entry& e : removed) {
-      InsertEntry(e, level, reinserted_at_level);
-    }
-    return;
-  }
-  SplitNode(node_id, path);
-}
-
-void RStarTree::SplitNode(uint32_t node_id, std::vector<uint32_t>& path) {
-  // R* split: pick the axis minimizing the summed margin over all valid
-  // distributions (of both lo- and hi-sorted orders), then the distribution
-  // minimizing overlap (ties: area).
-  const uint32_t m = options_.min_entries;
-  std::vector<Entry> entries = std::move(nodes_[node_id].entries);
-  const size_t total = entries.size();
-  const size_t dist_count = total - 2 * m + 1;
-
-  size_t best_axis = 0;
-  bool best_axis_hi = false;
-  double best_margin_sum = std::numeric_limits<double>::max();
-
-  auto sort_entries = [&entries](size_t axis, bool by_hi) {
-    std::sort(entries.begin(), entries.end(),
-              [axis, by_hi](const Entry& a, const Entry& b) {
-                const float ka = by_hi ? a.mbr.hi(axis) : a.mbr.lo(axis);
-                const float kb = by_hi ? b.mbr.hi(axis) : b.mbr.lo(axis);
-                if (ka != kb) return ka < kb;
-                return a.id < b.id;
-              });
-  };
-
-  for (size_t axis = 0; axis < dims_; ++axis) {
-    for (bool by_hi : {false, true}) {
-      sort_entries(axis, by_hi);
-      double margin_sum = 0.0;
-      for (size_t k = 0; k < dist_count; ++k) {
-        const size_t split = m + k;
-        Mbr left(dims_), right(dims_);
-        for (size_t i = 0; i < split; ++i) left.Expand(entries[i].mbr);
-        for (size_t i = split; i < total; ++i) right.Expand(entries[i].mbr);
-        margin_sum += left.Margin() + right.Margin();
-      }
-      if (margin_sum < best_margin_sum) {
-        best_margin_sum = margin_sum;
-        best_axis = axis;
-        best_axis_hi = by_hi;
-      }
-    }
-  }
-
-  sort_entries(best_axis, best_axis_hi);
-  size_t best_split = m;
-  double best_overlap = std::numeric_limits<double>::max();
-  double best_area = std::numeric_limits<double>::max();
-  for (size_t k = 0; k < dist_count; ++k) {
-    const size_t split = m + k;
-    Mbr left(dims_), right(dims_);
-    for (size_t i = 0; i < split; ++i) left.Expand(entries[i].mbr);
-    for (size_t i = split; i < total; ++i) right.Expand(entries[i].mbr);
-    const double overlap = left.OverlapArea(right);
-    const double area = left.Area() + right.Area();
-    if (overlap < best_overlap ||
-        (overlap == best_overlap && area < best_area)) {
-      best_overlap = overlap;
-      best_area = area;
-      best_split = split;
-    }
-  }
-
-  Node& left = nodes_[node_id];
-  left.entries.assign(entries.begin(), entries.begin() + best_split);
-  RecomputeMbr(node_id);
-
-  const uint32_t right_id = NewNode(left.level);
-  Node& right = nodes_[right_id];
-  right.entries.assign(entries.begin() + best_split, entries.end());
-  RecomputeMbr(right_id);
-
-  if (node_id == root_) {
-    const uint32_t new_root = NewNode(nodes_[node_id].level + 1);
-    nodes_[new_root].entries.push_back(
-        Entry{nodes_[node_id].mbr, node_id});
-    nodes_[new_root].entries.push_back(
-        Entry{nodes_[right_id].mbr, right_id});
-    RecomputeMbr(new_root);
-    root_ = new_root;
-    return;
-  }
-
-  const uint32_t parent = path.back();
-  path.pop_back();
-  // Refresh the split node's entry in the parent and add the new sibling.
-  for (Entry& e : nodes_[parent].entries) {
-    if (e.id == node_id) {
-      e.mbr = nodes_[node_id].mbr;
-      break;
-    }
-  }
-  nodes_[parent].entries.push_back(Entry{nodes_[right_id].mbr, right_id});
-  RecomputeMbr(parent);
-  if (nodes_[parent].entries.size() > options_.max_entries) {
-    // Propagate: split the parent (reinsert only applies once per level,
-    // handled by the caller's bookkeeping — here we split directly, which
-    // matches the R* behaviour after a reinsert already happened).
-    SplitNode(parent, path);
-  } else {
-    SyncEntryMbrsUpward(path, parent);
-  }
-}
-
-void RStarTree::RangeSearch(const Mbr& box,
-                            std::vector<uint32_t>* out) const {
-  if (empty()) return;
-  std::vector<uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const Node& n = nodes_[stack.back()];
-    stack.pop_back();
-    for (const Entry& e : n.entries) {
-      if (!e.mbr.Intersects(box)) continue;
-      if (n.IsLeaf()) {
-        out->push_back(e.id);
-      } else {
-        stack.push_back(e.id);
-      }
-    }
-  }
-}
-
-void RStarTree::DistanceSearch(const Mbr& query, double eps, Norm norm,
-                               std::vector<uint32_t>* out) const {
-  if (empty()) return;
-  std::vector<uint32_t> stack{root_};
-  while (!stack.empty()) {
-    const Node& n = nodes_[stack.back()];
-    stack.pop_back();
-    for (const Entry& e : n.entries) {
-      if (!e.mbr.MinDistWithin(query, norm, eps)) continue;
-      if (n.IsLeaf()) {
-        out->push_back(e.id);
-      } else {
-        stack.push_back(e.id);
-      }
-    }
-  }
 }
 
 void RStarTree::AttachFile(StorageBackend* disk, std::string_view name) {
   file_id_ = disk->CreateFile(name, static_cast<uint32_t>(nodes_.size()));
 }
 
-Status RStarTree::CheckInvariants() const {
+Status RStarTree::ValidateInvariants() const {
   if (empty()) return Status::OK();
   std::unordered_set<uint32_t> seen_data;
   std::vector<std::pair<uint32_t, uint32_t>> stack{{root_, nodes_[root_].level}};
-  uint64_t leaf_entries = 0;
   while (!stack.empty()) {
     const auto [id, expected_level] = stack.back();
     stack.pop_back();
@@ -368,8 +70,6 @@ Status RStarTree::CheckInvariants() const {
       return Status::Corruption("non-uniform level structure");
     if (n.entries.empty())
       return Status::Corruption("empty node");
-    if (id != root_ && n.entries.size() < options_.min_entries)
-      return Status::Corruption("node under-full");
     if (n.entries.size() > options_.max_entries)
       return Status::Corruption("node over-full");
     Mbr cover(dims_);
@@ -378,7 +78,8 @@ Status RStarTree::CheckInvariants() const {
       return Status::Corruption("node MBR does not match children");
     for (const Entry& e : n.entries) {
       if (n.IsLeaf()) {
-        ++leaf_entries;
+        if (!seen_data.insert(e.id).second)
+          return Status::Corruption("data id reachable more than once");
       } else {
         if (!(nodes_[e.id].mbr == e.mbr))
           return Status::Corruption("entry MBR does not match child node");
@@ -386,7 +87,7 @@ Status RStarTree::CheckInvariants() const {
       }
     }
   }
-  if (leaf_entries != size_)
+  if (seen_data.size() != size_)
     return Status::Corruption("leaf entry count does not match size");
   return Status::OK();
 }

@@ -13,19 +13,16 @@
 
 namespace pmjoin {
 
-/// R*-tree (Beckmann et al., SIGMOD '90) over d-dimensional MBRs.
+/// STR-packed R-tree over data pages.
 ///
 /// This is the index structure the paper assumes for point and spatial data
 /// (Table 1). In pmjoin the tree indexes *data pages*: each leaf entry is
-/// one page of the dataset with its page MBR. The hierarchical
-/// prediction-matrix construction (Fig. 1) and the BFRJ baseline both
-/// traverse this structure; the tree's own nodes can be attached to a disk
-/// file so that node accesses are charged I/O (one node per page).
-///
-/// Both construction paths are supported:
-///  - `BulkLoadStr` — Sort-Tile-Recursive packing (fast, near-optimal);
-///  - `Insert` — the full R* insertion algorithm with ChooseSubtree,
-///    forced reinsertion (30%), and the margin/overlap-driven split.
+/// one page of the dataset with its page MBR. Every tree is built once by
+/// Sort-Tile-Recursive packing (`BulkLoadStr`) and from then on only
+/// walked: the hierarchical prediction-matrix construction (Fig. 1) and
+/// the BFRJ baseline both traverse it top-down, and the tree's own nodes
+/// can be attached to a disk file so that node accesses are charged I/O
+/// (one node per page).
 class RStarTree {
  public:
   /// A node slot: bounding box plus either a child node id (internal) or a
@@ -49,30 +46,21 @@ class RStarTree {
   struct Options {
     /// Maximum entries per node (fanout), M.
     uint32_t max_entries = 64;
-    /// Minimum entries per node, m (R* default: 40% of M).
-    uint32_t min_entries = 26;
-    /// Entries removed on forced reinsert (R* default: 30% of M).
-    uint32_t reinsert_count = 19;
   };
 
-  /// An empty tree over `dims`-dimensional boxes with default node
-  /// geometry (fanout 64, m = 40%·M, p = 30%·M).
-  explicit RStarTree(size_t dims) : RStarTree(dims, Options{}) {}
-  RStarTree(size_t dims, Options options);
+  /// An empty tree over `dims`-dimensional boxes (one empty root leaf).
+  explicit RStarTree(size_t dims);
 
   /// Bulk loads a tree from leaf entries using STR packing. The relative
   /// order of `leaf_entries` is not preserved (they are spatially sorted).
+  /// Paranoid builds audit the result (ValidateInvariants).
   static RStarTree BulkLoadStr(size_t dims, std::vector<Entry> leaf_entries) {
     return BulkLoadStr(dims, std::move(leaf_entries), Options{});
   }
   static RStarTree BulkLoadStr(size_t dims, std::vector<Entry> leaf_entries,
                                Options options);
 
-  /// Inserts one leaf entry using the full R* algorithm.
-  void Insert(const Mbr& mbr, uint32_t data_id);
-
   size_t dims() const { return dims_; }
-  const Options& options() const { return options_; }
   bool empty() const { return size_ == 0; }
   uint64_t size() const { return size_; }
 
@@ -85,13 +73,6 @@ class RStarTree {
   const Node& node(uint32_t id) const { return nodes_[id]; }
   size_t NumNodes() const { return nodes_.size(); }
 
-  /// Collects the data ids of all leaf entries whose MBR intersects `box`.
-  void RangeSearch(const Mbr& box, std::vector<uint32_t>* out) const;
-
-  /// Collects data ids of leaf entries with MinDist(query) <= eps.
-  void DistanceSearch(const Mbr& query, double eps, Norm norm,
-                      std::vector<uint32_t>* out) const;
-
   /// Registers a `NumNodes()`-page file on `disk` so traversals can charge
   /// node I/O (node n lives on page n). Call after the tree is built.
   void AttachFile(StorageBackend* disk, std::string_view name);
@@ -99,32 +80,15 @@ class RStarTree {
   /// The attached node file id, if any.
   std::optional<uint32_t> file_id() const { return file_id_; }
 
-  /// Structural self-check: entry counts within [m, M] (root exempt),
-  /// parent MBRs exactly cover children, uniform leaf depth, all data ids
-  /// reachable exactly once. Used heavily by tests.
-  Status CheckInvariants() const;
-
-  /// Canonical audit name shared by all stateful cores (BufferPool,
-  /// PredictionMatrix, the clustering validators); forwards to
-  /// CheckInvariants().
-  Status ValidateInvariants() const { return CheckInvariants(); }
+  /// Structural audit: every node holds 1..M entries, parent MBRs exactly
+  /// cover their children and equal the entry boxes that point at them,
+  /// leaf depth is uniform, and every data id is reachable exactly once
+  /// (`size()` of them). STR leaves the last node of a slab short, so
+  /// there is no minimum fill. Returns Corruption naming the first
+  /// violation found.
+  Status ValidateInvariants() const;
 
  private:
-  uint32_t NewNode(uint32_t level);
-  void RecomputeMbr(uint32_t node_id);
-  void SyncEntryMbrsUpward(const std::vector<uint32_t>& path,
-                           uint32_t node_id);
-  uint32_t ChooseSubtree(const Mbr& mbr, uint32_t target_level,
-                         std::vector<uint32_t>* path) const;
-  /// Handles an overflowing node: forced reinsert on first overflow at a
-  /// level per insertion, split otherwise. `path` holds ancestors
-  /// (root..parent).
-  void OverflowTreatment(uint32_t node_id, std::vector<uint32_t>& path,
-                         std::vector<bool>& reinserted_at_level);
-  void SplitNode(uint32_t node_id, std::vector<uint32_t>& path);
-  void InsertEntry(const Entry& entry, uint32_t target_level,
-                   std::vector<bool>& reinserted_at_level);
-
   size_t dims_;
   Options options_;
   std::vector<Node> nodes_;

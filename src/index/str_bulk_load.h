@@ -17,7 +17,7 @@ namespace pmjoin {
 ///     spatially clustered (paper §5.1: "the data objects are sorted so
 ///     that the contents of each leaf level MBR appear contiguously on
 ///     disk");
-///  2. bulk-loading the R*-tree levels bottom-up.
+///  2. bulk-loading the R-tree levels bottom-up.
 ///
 /// Returns the item indices in packed order, partitioned into groups:
 /// `groups[g]` lists indices of `items` forming group g. Works for any

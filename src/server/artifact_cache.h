@@ -20,7 +20,7 @@ namespace pmjoin {
 namespace server {
 
 /// Per-dataset artifacts shared across the queries of one server process:
-/// the datasets themselves (pages + page MBRs + R*-tree) and the
+/// the datasets themselves (pages + page MBRs + R-tree) and the
 /// prediction matrices derived from dataset pairs.
 ///
 /// Keys are pure functions of the inputs, so cached artifacts are

@@ -189,6 +189,10 @@ Result<DatasetSpec> DatasetSpec::Parse(const std::string& text) {
       return Status::InvalidArgument("bad dims in spec " + text);
     spec.dims = static_cast<uint32_t>(dims);
   }
+  if (spec.n > kMaxCoordinates / spec.dims)
+    return Status::InvalidArgument(
+        "dataset spec n x dims exceeds the limit of " +
+        std::to_string(kMaxCoordinates) + " coordinates: " + text);
   return spec;
 }
 

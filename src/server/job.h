@@ -27,13 +27,18 @@ namespace server {
 struct DatasetSpec {
   enum class Kind { kRoad, kClusters, kUniform };
 
+  /// Largest accepted n × dims (2^28 coordinates, 1 GiB of floats): a job
+  /// line must not be able to make Generate allocate without bound.
+  static constexpr uint64_t kMaxCoordinates = uint64_t(1) << 28;
+
   Kind kind = Kind::kRoad;
   uint64_t n = 0;
   uint64_t seed = 0;
   uint32_t dims = 2;
 
   /// Parses the `<gen>/<n>/<seed>[/<dims>]` grammar. Fails with
-  /// InvalidArgument naming the offending segment.
+  /// InvalidArgument naming the offending segment, or the limit when
+  /// n × dims exceeds kMaxCoordinates.
   static Result<DatasetSpec> Parse(const std::string& text);
 
   /// Normalized key, also a legal backend file name (no '/'):

@@ -46,7 +46,7 @@ TEST(BfrjTest, ChargesNodeIo) {
   const IoStats delta = fixture.disk().stats().Delta(before);
   // Node pages of both trees are read in addition to data pages.
   EXPECT_GT(delta.pages_read,
-            uint64_t(fixture.matrix().MarkedRowCount()));
+            uint64_t(fixture.matrix().MarkedRows().size()));
 }
 
 TEST(BfrjTest, DisjointDatasetsReadNothing) {

@@ -47,18 +47,6 @@ TEST(RngTest, UniformCoversRange) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
-TEST(RngTest, UniformIntInclusiveBounds) {
-  Rng rng(11);
-  std::set<int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const int64_t v = rng.UniformInt(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
-}
-
 TEST(RngTest, UniformDoubleInUnitInterval) {
   Rng rng(13);
   for (int i = 0; i < 10000; ++i) {

@@ -139,33 +139,6 @@ TEST_P(ExecutorParallelTest, ShuffledOrderAlsoMatches)
 INSTANTIATE_TEST_SUITE_P(Threads, ExecutorParallelTest,
                          ::testing::Values(2u, 4u, 8u));
 
-TEST(ExecutorParallelTest, ExternalThreadPoolReused) {
-  SmallVectorJoin fixture(200, 200, 81, 0.05);
-  const uint32_t buffer = 10;
-  const auto clusters = SquareClustering(fixture.matrix(), buffer, nullptr);
-  const auto order = ScheduleClusters(clusters, fixture.input(), nullptr);
-
-  const RunResult serial = RunOnce(fixture, clusters, order, buffer, 1);
-  ASSERT_TRUE(serial.status.ok());
-
-  ThreadPool shared_pool(3);
-  for (int round = 0; round < 3; ++round) {
-    const IoStats io_before = fixture.disk().stats();
-    BufferPool pool(&fixture.disk(), buffer);
-    CollectingSink sink;
-    OpCounters ops;
-    ExecutorOptions options;
-    options.num_threads = 3;
-    options.thread_pool = &shared_pool;
-    ASSERT_TRUE(ExecuteClusteredJoin(fixture.input(), clusters, order,
-                                     &pool, &sink, &ops, options)
-                    .ok());
-    EXPECT_EQ(sink.pairs(), serial.pairs);
-    EXPECT_EQ(fixture.disk().stats().Delta(io_before), serial.io);
-    EXPECT_EQ(ops, serial.ops);
-  }
-}
-
 TEST(ExecutorParallelTest, PrefetchDeclinedWhenBatchPagesAreTheVictims) {
   // Regression: the prefetch gate must not count the next cluster's own
   // resident-unpinned pages as eviction victims — PinBatch pins them

@@ -165,8 +165,6 @@ TEST_P(HierarchicalSweepTest, EquivalentToFlatConstruction) {
 
   RStarTree::Options small;
   small.max_entries = 8;
-  small.min_entries = 3;
-  small.reinsert_count = 2;
   std::vector<RStarTree::Entry> re, se;
   for (uint32_t i = 0; i < r.size(); ++i)
     re.push_back(RStarTree::Entry{r[i], i});
@@ -200,8 +198,6 @@ TEST(HierarchicalSweepTest, FilterReducesMbrTests) {
   const auto s = RandomBoxes(&rng, 2000, 2, 0.01);
   RStarTree::Options small;
   small.max_entries = 16;
-  small.min_entries = 6;
-  small.reinsert_count = 4;
   std::vector<RStarTree::Entry> re, se;
   for (uint32_t i = 0; i < r.size(); ++i)
     re.push_back(RStarTree::Entry{r[i], i});

@@ -11,8 +11,8 @@ TEST(PredictionMatrixTest, EmptyMatrix) {
   EXPECT_EQ(m.rows(), 4u);
   EXPECT_EQ(m.cols(), 5u);
   EXPECT_EQ(m.MarkedCount(), 0u);
-  EXPECT_EQ(m.MarkedRowCount(), 0u);
-  EXPECT_EQ(m.MarkedColCount(), 0u);
+  EXPECT_TRUE(m.MarkedRows().empty());
+  EXPECT_TRUE(m.MarkedCols().empty());
   EXPECT_DOUBLE_EQ(m.Selectivity(), 0.0);
   EXPECT_FALSE(m.IsMarked(0, 0));
 }
@@ -69,8 +69,6 @@ TEST(PredictionMatrixTest, MarkedRowsAndCols) {
   m.Finalize();
   EXPECT_EQ(m.MarkedRows(), (std::vector<uint32_t>{1, 3}));
   EXPECT_EQ(m.MarkedCols(), (std::vector<uint32_t>{0, 2, 3}));
-  EXPECT_EQ(m.MarkedRowCount(), 2u);
-  EXPECT_EQ(m.MarkedColCount(), 3u);
 }
 
 TEST(PredictionMatrixTest, Selectivity) {
@@ -87,16 +85,6 @@ TEST(PredictionMatrixTest, RefinalizeIsIdempotent) {
   m.Finalize();
   EXPECT_EQ(m.MarkedCount(), 1u);
 }
-
-TEST(PredictionMatrixTest, DebugString) {
-  PredictionMatrix m(2, 4);
-  m.Mark(0, 0);
-  m.Finalize();
-  const std::string s = m.ToDebugString();
-  EXPECT_NE(s.find("2x4"), std::string::npos);
-  EXPECT_NE(s.find("marked=1"), std::string::npos);
-}
-
 
 TEST(PredictionMatrixTest, ZeroSizedMatrix) {
   PredictionMatrix m(0, 0);

@@ -207,8 +207,14 @@ TEST(VectorDatasetTest, TreeLeafIdsArePages) {
   ASSERT_TRUE(ds.ok());
   const RStarTree& tree = ds->tree();
   EXPECT_EQ(tree.size(), ds->num_pages());
+  // The audit proves every leaf id reachable exactly once.
+  ASSERT_TRUE(tree.ValidateInvariants().ok());
   std::vector<uint32_t> pages;
-  tree.RangeSearch(Mbr::FromBounds({-1.0f, -1.0f}, {2.0f, 2.0f}), &pages);
+  for (uint32_t n = 0; n < tree.NumNodes(); ++n) {
+    if (!tree.node(n).IsLeaf()) continue;
+    for (const RStarTree::Entry& e : tree.node(n).entries)
+      pages.push_back(e.id);
+  }
   std::sort(pages.begin(), pages.end());
   ASSERT_EQ(pages.size(), ds->num_pages());
   for (uint32_t p = 0; p < pages.size(); ++p) EXPECT_EQ(pages[p], p);

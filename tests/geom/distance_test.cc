@@ -38,16 +38,6 @@ TEST(DistanceTest, ZeroForIdenticalVectors) {
   }
 }
 
-TEST(DistanceTest, SquaredL2MatchesL2) {
-  Rng rng(5);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto a = RandomPoint(&rng, 8);
-    const auto b = RandomPoint(&rng, 8);
-    const double d = VectorDistance(a, b, Norm::kL2);
-    EXPECT_NEAR(SquaredL2(a, b), d * d, 1e-9);
-  }
-}
-
 class DistancePropertyTest : public ::testing::TestWithParam<Norm> {};
 
 TEST_P(DistancePropertyTest, Symmetry) {

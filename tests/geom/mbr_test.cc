@@ -235,15 +235,6 @@ INSTANTIATE_TEST_SUITE_P(AllNorms, MbrNormTest,
 TEST(MbrTest, AreaAndMargin) {
   const Mbr m = Mbr::FromBounds({0.0f, 0.0f, 0.0f}, {1.0f, 2.0f, 3.0f});
   EXPECT_DOUBLE_EQ(m.Area(), 6.0);
-  EXPECT_DOUBLE_EQ(m.Margin(), 6.0);
-}
-
-TEST(MbrTest, OverlapArea) {
-  const Mbr a = Mbr::FromBounds({0.0f, 0.0f}, {2.0f, 2.0f});
-  const Mbr b = Mbr::FromBounds({1.0f, 1.0f}, {4.0f, 4.0f});
-  EXPECT_DOUBLE_EQ(a.OverlapArea(b), 1.0);
-  const Mbr c = Mbr::FromBounds({3.0f, 3.0f}, {4.0f, 4.0f});
-  EXPECT_DOUBLE_EQ(a.OverlapArea(c), 0.0);
 }
 
 TEST(MbrTest, CenterMidpoint) {

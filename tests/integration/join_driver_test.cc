@@ -8,8 +8,8 @@
 #include "common/rng.h"
 #include "core/reference_join.h"
 #include "data/generators.h"
-#include "data/sequence_dataset.h"
 #include "io/simulated_disk.h"
+#include "seq/sequence_store.h"
 #include "test_util.h"
 
 namespace pmjoin {
@@ -366,12 +366,11 @@ TEST(JoinDriverTest, CcIoAtMostScIoOnSequenceData) {
   // Table 2's qualitative claim: CC (the cost-based lower bound) is no
   // worse than SC on I/O for sequence self joins.
   SimulatedDisk disk;
-  DnaStoreParams params;
-  params.length = 4000;
-  params.seed = 71;
-  params.window_len = 12;
-  params.page_size_bytes = 64;
-  auto store = BuildDnaStore(&disk, "dna", params);
+  auto store = StringSequenceStore::Build(&disk, "dna",
+                                         GenDnaSequence(4000, /*seed=*/71),
+                                         /*alphabet_size=*/4,
+                                         /*window_len=*/12,
+                                         /*page_size_bytes=*/64);
   ASSERT_TRUE(store.ok());
 
   JoinDriver driver(&disk);

@@ -54,6 +54,16 @@ TEST(DatasetSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(DatasetSpec::Parse("road/2000/7/2").ok());  // road is 2-d
   EXPECT_FALSE(DatasetSpec::Parse("warehouse/10/1").ok());
   EXPECT_FALSE(DatasetSpec::Parse("road/0/1").ok());
+  // n × dims past DatasetSpec::kMaxCoordinates (2^28): Generate would
+  // otherwise throw (2^64 floats) or try to allocate 16 TB. 2^27 road
+  // points are exactly at the limit.
+  EXPECT_TRUE(DatasetSpec::Parse("road/134217728/1").ok());
+  EXPECT_FALSE(DatasetSpec::Parse("road/134217729/1").ok());
+  const auto huge = DatasetSpec::Parse("road/18446744073709551615/1");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().message().find("268435456 coordinates"),
+            std::string::npos);
+  EXPECT_FALSE(DatasetSpec::Parse("clusters/4000000000/1/1024").ok());
   EXPECT_FALSE(DatasetSpec::Parse("road/abc/1").ok());
   EXPECT_FALSE(DatasetSpec::Parse("uniform/10/1/0").ok());
   EXPECT_FALSE(DatasetSpec::Parse("uniform/10/1/9999").ok());

@@ -5,23 +5,17 @@
 // sweep. These guard the constants behind the CPU cost model
 // (common/cost_model.h).
 //
-// The binary also carries three harness sweeps run before the
+// The binary also carries two harness sweeps run before the
 // google-benchmark suite: the distance-kernel sweep (scalar reference vs
-// the batched kernel layer, per norm x dims), the file-backend
-// cluster-join sweep (sync vs async read pipeline, wall-clock), and the
-// kNN-join sweep (adaptive-eps pruning vs brute-force page expansion at
-// k = 8). In --json mode the
-// sweeps' rows are mirrored to BENCH_kernels.json so CI's bench-smoke
-// job can diff them against bench/BENCH_kernels.baseline.json with
-// tools/bench_compare.py.
+// the batched kernel layer, per norm x dims) and the kNN-join sweep
+// (adaptive-eps pruning vs brute-force page expansion at k = 8). In
+// --json mode the sweeps' rows are mirrored to BENCH_kernels.json so CI's
+// bench-smoke job can diff them against bench/BENCH_kernels.baseline.json
+// with tools/bench_compare.py.
 
 #include <benchmark/benchmark.h>
-#include <fcntl.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -52,9 +46,7 @@
 #include "io/simulated_disk.h"
 #include "io/storage_backend.h"
 #include "obs/clock.h"
-#include "obs/metrics.h"
 #include "obs/run_report.h"
-#include "obs/span.h"
 #include "seq/edit_distance.h"
 #include "seq/frequency_vector.h"
 #include "seq/paa.h"
@@ -290,12 +282,9 @@ void BM_ClusterJoinExecutor(benchmark::State& state) {
     const IoStats io_before = fixture.disk().stats();
     BufferPool pool(&fixture.disk(), fixture.buffer_pages());
     CountingSink sink;
-    ExecutorOptions options;
-    options.num_threads = threads;
     const Status status =
         ExecuteClusteredJoin(fixture.input(), fixture.clusters(),
-                             fixture.order(), &pool, &sink, nullptr,
-                             options);
+                             fixture.order(), &pool, &sink, nullptr, threads);
     if (!status.ok()) return status;
     benchmark::DoNotOptimize(sink.count());
     io_delta = fixture.disk().stats().Delta(io_before);
@@ -401,8 +390,7 @@ void BM_ClusterJoinMeasuredIo(benchmark::State& state) {
     BufferPool pool(&disk, kBufferPages);
     CountingSink sink;
     const Status status = ExecuteClusteredJoin(input, clusters, order,
-                                               &pool, &sink, nullptr,
-                                               ExecutorOptions{});
+                                               &pool, &sink, nullptr);
     if (!status.ok()) return status;
     io_delta = disk.stats().Delta(io_before);
     const StorageBackend::MeasuredIo m = disk.measured();
@@ -609,69 +597,13 @@ void RunKernelSweep(const bench::BenchArgs& args) {
   }
 }
 
-// --- End-to-end cluster-join wall-clock sweep (file backend) -----------
-//
-// The identical clustered join executed on a FileBackend scratch
-// directory with the synchronous read path (io_threads = 0) and the
-// async read pipeline (1/2/4 I/O threads). The pipeline is
-// ledger-neutral by construction, so pages_read and result_pairs must
-// be byte-identical across rows — the sweep aborts on divergence, which
-// makes it an end-to-end concordance check at benchmark-sized inputs.
-// Only wall-clock throughput (records_s) may move between rows; that
-// column is the collapse tripwire tools/bench_compare.py watches.
-//
-// io_stall_ms approximates the join loop's I/O stall from the obs
-// histograms: the io.pread_ns total for the sync row (every physical
-// read blocks the coordinator) and the io.wait_ns total for async rows
-// (the coordinator only stalls waiting on a staged run still in
-// flight). Histograms are power-of-two bucketed, so totals use the
-// bucket midpoint (count * 1.5 * 2^(b-1)); treat the stall columns as
-// indicative, not exact.
-
-/// Approximate sum of all values recorded into histogram `name` since
-/// the session started. Bucket b >= 1 holds values in [2^(b-1), 2^b);
-/// its midpoint is 1.5 * 2^(b-1). Bucket 0 holds zeros and adds nothing.
-double ApproxHistogramTotalNs(const char* name) {
-  const std::array<uint64_t, obs::Histogram::kBuckets> buckets =
-      obs::MetricsRegistry::Get().histogram(name)->BucketCounts();
-  double total = 0.0;
-  for (uint32_t b = 1; b < obs::Histogram::kBuckets; ++b) {
-    total += static_cast<double>(buckets[b]) * 1.5 *
-             std::ldexp(1.0, static_cast<int>(b) - 1);
-  }
-  return total;
-}
-
-/// Drops every file under `dir` from the OS page cache
-/// (posix_fadvise(POSIX_FADV_DONTNEED)), so the next read of those pages
-/// hits the device. Called between timed repetitions: the sweep measures
-/// the cold-read pipeline, where physical reads genuinely block and the
-/// async reader's overlap with the join computation is observable — a
-/// warm cache would reduce every read to a page-cache memcpy and measure
-/// nothing but dispatch overhead.
-void EvictPageCache(const std::string& dir) {
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const int fd = ::open(entry.path().c_str(), O_RDWR);
-    if (fd < 0) continue;
-    // DONTNEED silently skips dirty pages, so flush first — otherwise
-    // whether eviction works depends on the kernel's writeback timer and
-    // early repetitions run warm while later ones run cold.
-    (void)::fdatasync(fd);
-    (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-    ::close(fd);
-  }
-}
-
 /// One tight Gaussian blob per page, blob centers marching along the
 /// main diagonal with unit gaps: record i sits near (i / per_page) in
 /// every dimension. Any single-coordinate sort preserves blob order, so
 /// the STR pack keeps each blob in its own page regardless of
 /// dimensionality, page MBRs are pairwise far apart, and an eps well
 /// under the gap yields an exactly diagonal prediction matrix whose
-/// clusters read long contiguous page runs — the shape that isolates
-/// read-pipeline overlap from matrix and compute effects.
+/// clusters read long contiguous page runs.
 VectorData MakeDiagonalBlobs(size_t count, size_t dims, size_t per_page,
                              uint64_t seed) {
   Rng rng(seed);
@@ -686,169 +618,6 @@ VectorData MakeDiagonalBlobs(size_t count, size_t dims, size_t per_page,
     }
   }
   return data;
-}
-
-void RunClusterJoinFileSweep(const bench::BenchArgs&) {
-  constexpr uint32_t kPage = 4096;
-  constexpr uint32_t kBufferPages = 32;
-  constexpr size_t kDims = 256;
-  constexpr size_t kRecordsPerPage = kPage / (kDims * sizeof(float));
-  const size_t nr = 18000, ns = 18000;
-  const uint32_t reps = 8;
-
-  std::error_code ec;
-  std::filesystem::remove_all("bench-cluster-join.tmp", ec);
-  FileBackend::Options fb_options;
-  fb_options.page_size_bytes = kPage;
-  Result<std::unique_ptr<FileBackend>> opened =
-      FileBackend::Open("bench-cluster-join.tmp", fb_options);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "cluster_join_file: %s\n",
-                 opened.status().ToString().c_str());
-    return;
-  }
-  std::unique_ptr<FileBackend> backend = std::move(opened).value();
-  StorageBackend& disk = *backend;
-
-  VectorDataset::Options ds_options;
-  ds_options.page_size_bytes = kPage;
-  // Both sides are the same draw (the paper's self-join scenario as an
-  // R x S join): identical STR grids give the same page for the same
-  // blob on both sides, so the prediction matrix is the main diagonal
-  // and every cluster reads long contiguous page runs.
-  const VectorData points =
-      MakeDiagonalBlobs(nr, kDims, kRecordsPerPage, 0x5EED);
-  auto r = VectorDataset::Build(&disk, "r", points, ds_options).value();
-  auto s = VectorDataset::Build(&disk, "s", points, ds_options).value();
-  for (const VectorDataset* ds : {&r, &s}) {
-    if (const Status status = ds->Persist(&disk); !status.ok()) {
-      std::fprintf(stderr, "cluster_join_file: %s\n",
-                   status.ToString().c_str());
-      return;
-    }
-  }
-  // Half the inter-blob gap: every within-page pair joins (distances
-  // ~0.01 * sqrt(2 * dims)), no cross-page pair comes close (adjacent
-  // blobs are sqrt(dims) apart).
-  const double eps = 0.5;
-  VectorPairJoiner joiner(&r, &s, eps, Norm::kL2, /*self_join=*/false);
-  JoinInput input;
-  input.r_file = r.file_id();
-  input.s_file = s.file_id();
-  input.r_pages = r.num_pages();
-  input.s_pages = s.num_pages();
-  input.self_join = false;
-  input.joiner = &joiner;
-  const PredictionMatrix matrix = BuildPredictionMatrixHierarchical(
-      r.tree(), s.tree(), r.num_pages(), s.num_pages(), eps, Norm::kL2,
-      /*filter_iterations=*/2, nullptr);
-  const std::vector<Cluster> clusters =
-      SquareClustering(matrix, kBufferPages, nullptr);
-  std::vector<uint32_t> order = ScheduleClusters(clusters, input, nullptr);
-  // Deterministically shuffle the cluster order. The diagonal matrix's
-  // clusters share no pages, so the order is semantically free (the
-  // ledger tripwire below still holds: every row uses the same order) —
-  // but a shuffled order turns the physical access pattern from one long
-  // sequential scan (which the kernel's readahead hides entirely) into
-  // the seek-heavy schedule real prediction matrices produce, which is
-  // exactly the case the async pipeline exists to overlap.
-  {
-    Rng rng(0xC0FFEE);
-    for (size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[rng.Uniform(i)]);
-    }
-  }
-
-  bench::PrintTableHeader(
-      "cluster_join_file",
-      {"records_s", "wall_ms", "io_stall_ms", "io_stall_share",
-       "pages_read", "result_pairs"});
-
-  struct RowConfig {
-    const char* label;
-    uint32_t io_threads;
-  };
-  constexpr RowConfig kRows[] = {
-      {"sync", 0}, {"async_1", 1}, {"async_2", 2}, {"async_4", 4}};
-  std::optional<IoStats> sync_delta;
-  for (const RowConfig& cfg : kRows) {
-    IoStats io_delta;
-    uint64_t result_pairs = 0;
-    const auto run_once = [&]() -> Status {
-      const IoStats io_before = disk.stats();
-      BufferPool pool(&disk, kBufferPages);
-      CountingSink sink;
-      ExecutorOptions options;
-      options.io_threads = cfg.io_threads;
-      const Status status = ExecuteClusteredJoin(
-          input, clusters, order, &pool, &sink, nullptr, options);
-      if (!status.ok()) return status;
-      io_delta = disk.stats().Delta(io_before);
-      result_pairs = sink.count();
-      return Status::OK();
-    };
-
-    // One untimed warm-up per row, outside the metric session: it pins
-    // the modeled head position (same rationale as the executor sweep);
-    // the page-cache state it leaves behind does not matter because every
-    // timed repetition below starts from an evicted cache.
-    if (const Status status = run_once(); !status.ok()) {
-      std::fprintf(stderr, "cluster_join_file[%s]: %s\n", cfg.label,
-                   status.ToString().c_str());
-      return;
-    }
-
-    // StartSession resets metric values, so the histograms read below
-    // cover exactly this row's timed reps.
-    obs::Tracer::Get().StartSession(&disk);
-    int64_t wall_ns = 0;
-    for (uint32_t rep = 0; rep < reps; ++rep) {
-      // Cold-cache repetitions: eviction itself stays outside the
-      // measured interval.
-      EvictPageCache("bench-cluster-join.tmp");
-      const int64_t t0 = obs::MonotonicNanos();
-      const Status status = run_once();
-      wall_ns += obs::MonotonicNanos() - t0;
-      if (!status.ok()) {
-        obs::Tracer::Get().StopSession();
-        std::fprintf(stderr, "cluster_join_file[%s]: %s\n", cfg.label,
-                     status.ToString().c_str());
-        return;
-      }
-    }
-    const double wall_s = static_cast<double>(wall_ns) * 1e-9;
-    const double stall_ns = ApproxHistogramTotalNs(
-        cfg.io_threads == 0 ? "io.pread_ns" : "io.wait_ns");
-    obs::Tracer::Get().StopSession();
-
-    if (!sync_delta.has_value()) {
-      sync_delta = io_delta;
-    } else if (!(*sync_delta == io_delta)) {
-      std::fprintf(stderr,
-                   "FATAL: cluster_join_file: modeled I/O diverged on %s "
-                   "(async pipeline must be ledger-neutral)\n",
-                   cfg.label);
-      std::exit(1);
-    }
-
-    const double records = static_cast<double>(reps) *
-                           static_cast<double>(nr + ns);
-    char wall_ms[32], stall_ms[32], stall_share[32];
-    std::snprintf(wall_ms, sizeof(wall_ms), "%.4g", wall_s * 1e3);
-    std::snprintf(stall_ms, sizeof(stall_ms), "%.4g", stall_ns * 1e-6);
-    std::snprintf(stall_share, sizeof(stall_share), "%.3f",
-                  stall_ns / (wall_s * 1e9));
-    bench::PrintTableRow({cfg.label, FormatRate(records / wall_s),
-                          wall_ms, stall_ms, stall_share,
-                          std::to_string(io_delta.pages_read),
-                          std::to_string(result_pairs)});
-  }
-
-  // Drain the tracer's event log so main()'s CaptureSession does not
-  // embed this sweep's span-by-span trace in BENCH_kernels.json (the
-  // committed baseline should stay a small table of rows).
-  obs::Tracer::Get().TakeEvents();
-  std::filesystem::remove_all("bench-cluster-join.tmp", ec);
 }
 
 // --- kNN-join sweep (pm-kNN vs brute force) ----------------------------
@@ -988,7 +757,6 @@ int main(int argc, char** argv) {
     pmjoin::bench::SetReportArtifact(&report);
   }
   pmjoin::RunKernelSweep(args);
-  pmjoin::RunClusterJoinFileSweep(args);
   pmjoin::RunKnnJoinSweep(args);
   pmjoin::bench::SetReportArtifact(nullptr);
   if (args.json) {

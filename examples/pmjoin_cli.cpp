@@ -9,7 +9,7 @@
 //              [--n=20000] [--dims=2] [--eps=0.01] [--k=0] [--edits=5]
 //              [--buffer=64] [--page=1024] [--window=500] [--self]
 //              [--seed=1] [--norm=l1|l2|linf]
-//              [--backend=sim|file] [--data-dir=DIR] [--io-threads=N]
+//              [--backend=sim|file] [--data-dir=DIR]
 //              [--trace=FILE] [--report=FILE]
 //
 // --k=N switches the vector-data join from an ε-join to a kNN join: each
@@ -23,12 +23,6 @@
 // --data-dir (default pmjoin-data), with per-page checksums, and reports
 // measured I/O (syscalls, bytes, pread latency) next to the modeled cost.
 // Result pairs and modeled I/O are byte-identical across backends.
-//
-// --io-threads enables the async read pipeline on the file backend: N
-// dedicated I/O threads physically read the next cluster's pages while
-// the current cluster joins. Results and modeled I/O are unchanged; only
-// wall-clock time improves. 0 (default) reads synchronously; ignored on
-// --backend=sim, which has no physical reads to overlap.
 //
 // --trace writes the run's phase spans as Chrome trace-event JSON (open in
 // chrome://tracing or Perfetto); --report writes the
@@ -82,7 +76,6 @@ struct CliArgs {
   std::string norm = "l2";
   std::string backend = "sim";
   std::string data_dir = "pmjoin-data";
-  uint32_t io_threads = 0;
   std::string trace;   // Chrome trace-event JSON output path.
   std::string report;  // pmjoin.run_report.v1 JSON output path.
 
@@ -131,8 +124,6 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
       args.backend = value;
     } else if (ParseFlag(argv[i], "--data-dir", &value)) {
       args.data_dir = value;
-    } else if (ParseFlag(argv[i], "--io-threads", &value)) {
-      args.io_threads = static_cast<uint32_t>(std::atoi(value.c_str()));
     } else if (ParseFlag(argv[i], "--trace", &value)) {
       args.trace = value;
     } else if (ParseFlag(argv[i], "--report", &value)) {
@@ -289,7 +280,6 @@ int Run(const CliArgs& args) {
   options.page_size_bytes = args.page;
   options.norm = *norm;
   options.seed = args.seed;
-  options.io_threads = args.io_threads;
   CountingSink sink;
 
   if (args.data == "road" || args.data == "clusters" ||
@@ -422,14 +412,11 @@ int main(int argc, char** argv) {
         "                  [--self] [--seed=S] [--norm=l1|l2|linf]\n"
         "                  [--trace=FILE] [--report=FILE]\n"
         "                  [--backend=sim|file] [--data-dir=DIR]\n"
-        "                  [--io-threads=N]\n"
         "--trace writes Chrome trace-event JSON (chrome://tracing);\n"
         "--report writes the pmjoin.run_report.v1 JSON object.\n"
         "--backend=file stores pages in DIR (default pmjoin-data) with\n"
         "real pread/pwrite and per-page checksums; modeled I/O counters\n"
         "are identical to --backend=sim.\n"
-        "--io-threads=N overlaps the file backend's physical reads with\n"
-        "the joins (async prefetch); results and modeled I/O unchanged.\n"
         "--k=N runs a kNN join on vector data (ignores --algo; cannot be\n"
         "combined with an explicit --eps).\n");
     return 2;

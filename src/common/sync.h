@@ -105,21 +105,13 @@ namespace pmjoin {
 ///                    values while holding the session mutex)
 /// ThreadPool / WaitGroup never hold their mutexes across user code, but
 /// sit between the cache and the obs layer so executor tasks spawned
-/// under a cache-built artifact could still record spans. The async I/O
-/// pipeline adds two ranks in that same gap: AsyncReader's queue mutex
-/// (kAsyncReader, above kThreadPool because reader loops run as pool
-/// tasks) and FileBackend's staging-table mutex (kIoStaging). Neither is
-/// ever held across a physical read or an obs call — the backend reads
-/// and records metrics *outside* the staging mutex — so despite sitting
-/// below kTracer/kMetricsRegistry they never nest over them.
+/// under a cache-built artifact could still record spans.
 namespace lock_rank {
 inline constexpr uint32_t kServer = 10;           ///< JoinServer::mu_
 inline constexpr uint32_t kQueryQueue = 20;       ///< QueryQueue::mu_
 inline constexpr uint32_t kArtifactCache = 30;    ///< ArtifactCache::mu_
 inline constexpr uint32_t kThreadPool = 40;       ///< ThreadPool::mu_
 inline constexpr uint32_t kWaitGroup = 50;        ///< WaitGroup::mu_
-inline constexpr uint32_t kAsyncReader = 52;      ///< AsyncReader::mu_
-inline constexpr uint32_t kIoStaging = 55;        ///< FileBackend::staging_mu_
 inline constexpr uint32_t kTracer = 60;           ///< obs::Tracer::mu_
 inline constexpr uint32_t kMetricsRegistry = 70;  ///< MetricsRegistry::mu_
 /// Leaf rank for mutexes that never acquire anything while held (tests,

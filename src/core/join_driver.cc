@@ -148,11 +148,8 @@ Status RunMatrixAlgorithm(const JoinInput& input,
         order.resize(clusters.size());
         std::iota(order.begin(), order.end(), 0u);
       }
-      ExecutorOptions exec_options;
-      exec_options.num_threads = options.num_threads;
-      exec_options.io_threads = options.io_threads;
       return ExecuteClusteredJoin(input, clusters, order, &pool, sink, ops,
-                                  exec_options);
+                                  options.num_threads);
     }
     case Algorithm::kEgo:
     case Algorithm::kBfrj:

@@ -77,13 +77,6 @@ struct JoinOptions {
   /// produces the identical result pairs, CPU counters, and simulated
   /// IoStats — parallelism only changes wall-clock time.
   uint32_t num_threads = 1;
-
-  /// Dedicated I/O threads for the clustered executor's async read
-  /// pipeline (SC / rand-SC / CC on a staging-capable backend; see
-  /// core/executor.h). 0 = synchronous reads. Like num_threads, any value
-  /// produces identical result pairs, CPU counters, and modeled IoStats —
-  /// only the wall-clock timing of the physical reads changes.
-  uint32_t io_threads = 0;
 };
 
 class BufferPool;
@@ -190,10 +183,8 @@ class JoinDriver {
   /// Pairs reach `sink` r-ascending, then (distance, id)-ascending within
   /// a row — byte-identical to ReferenceKnnJoin. Consumes
   /// options.buffer_pages / num_threads / norm; options.algorithm is
-  /// ignored (the report says kKnn) and options.io_threads is inert here —
-  /// the expansion order is bound-driven, so there is no precomputable
-  /// page schedule to hand an async reader. `resources` may supply a
-  /// shared buffer pool and/or a memoized kNN candidate matrix (see
+  /// ignored (the report says kKnn). `resources` may supply a shared
+  /// buffer pool and/or a memoized kNN candidate matrix (see
   /// JoinResources).
   Result<JoinReport> RunKnnJoin(const VectorDataset& r,
                                 const VectorDataset& s, uint32_t k,

@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -64,9 +63,6 @@ FileBackend::~FileBackend() {
   for (Handle& h : handles_) {
     if (h.fd >= 0) ::close(h.fd);
   }
-  for (auto& [file, fds] : staging_fds_) {
-    for (int fd : fds) ::close(fd);
-  }
 }
 
 Result<std::unique_ptr<FileBackend>> FileBackend::Open(
@@ -113,8 +109,7 @@ Result<std::unique_ptr<FileBackend>> FileBackend::Open(
     if (fd < 0) return ErrnoStatus("FileBackend: open " + path);
 
     uint8_t sb[kSuperblockBytes];
-    Status read =
-        backend->PreadAll(fd, sb, sizeof(sb), 0, path, &backend->measured_);
+    Status read = backend->PreadAll(fd, sb, sizeof(sb), 0, path);
     if (!read.ok()) {
       ::close(fd);
       if (read.IsCorruption())
@@ -145,6 +140,21 @@ Result<std::unique_ptr<FileBackend>> FileBackend::Open(
           "FileBackend: page-size mismatch (backend vs. " + path + ")");
     }
     const uint32_t num_pages = GetU32(sb + 16);
+    // Every slot a superblock counts was written when the file was created
+    // or grown, so a healthy file holds every page it claims. A shorter one
+    // is damaged, and its count must not size later whole-file reads.
+    struct stat st = {};
+    if (::fstat(fd, &st) != 0) {
+      Status err = ErrnoStatus("FileBackend: fstat " + path);
+      ::close(fd);
+      return err;
+    }
+    if (static_cast<uint64_t>(st.st_size) < SlotOffset(page_size, num_pages)) {
+      ::close(fd);
+      return Status::Corruption("FileBackend: " + path + " claims " +
+                                std::to_string(num_pages) +
+                                " pages but is too short to hold them");
+    }
     const uint32_t name_len = GetU32(sb + 20);
     if (name_len > kMaxNameBytes) {
       ::close(fd);
@@ -152,7 +162,7 @@ Result<std::unique_ptr<FileBackend>> FileBackend::Open(
     }
     const std::string name(reinterpret_cast<const char*>(sb + 24), name_len);
     backend->RegisterRestoredFile(name, num_pages);
-    backend->handles_.push_back(Handle{fd, path, Status::OK()});
+    backend->handles_.push_back(Handle{fd, Status::OK()});
   }
   return backend;
 }
@@ -174,8 +184,7 @@ std::string FileBackend::PathFor(uint32_t file_id,
 }
 
 Status FileBackend::PreadAll(int fd, uint8_t* buf, size_t len,
-                             uint64_t offset, std::string_view what,
-                             MeasuredIo* io) {
+                             uint64_t offset, std::string_view what) {
   size_t done = 0;
   while (done < len) {
 #ifndef PMJOIN_OBS_DISABLED
@@ -194,8 +203,8 @@ Status FileBackend::PreadAll(int fd, uint8_t* buf, size_t len,
       if (errno == EINTR) continue;
       return ErrnoStatus(std::string("pread ") + std::string(what));
     }
-    ++io->read_syscalls;
-    io->read_bytes += static_cast<uint64_t>(r);
+    ++measured_.read_syscalls;
+    measured_.read_bytes += static_cast<uint64_t>(r);
     PMJOIN_METRIC_COUNT("io.read_syscalls", 1);
     PMJOIN_METRIC_COUNT("io.read_bytes", static_cast<uint64_t>(r));
     if (r == 0)
@@ -276,7 +285,6 @@ void FileBackend::DoCreateFile(uint32_t file_id, std::string_view name,
   handles_.resize(file_id + 1);
   Handle& h = handles_[file_id];
   const std::string path = PathFor(file_id, name);
-  h.path = path;
   h.fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (h.fd < 0) {
     h.error = ErrnoStatus("FileBackend: create " + path);
@@ -298,23 +306,23 @@ Status FileBackend::DoAllocatePages(uint32_t file, uint32_t first_new,
   return WriteSuperblock(file, this->file(file).name, first_new + count);
 }
 
-Status FileBackend::ReadSlotsVerify(int fd, PageId pid, uint32_t count,
-                                    const std::string& fname,
-                                    uint8_t* payload_out,
-                                    std::vector<uint8_t>* scratch,
-                                    MeasuredIo* io) {
+Status FileBackend::DoReadPages(PageId pid, uint32_t count,
+                                uint8_t* payload_out) {
+  PMJOIN_RETURN_IF_ERROR(FileStatus(pid.file));
+  const int fd = handles_[pid.file].fd;
+  const std::string& fname = file(pid.file).name;
   const uint64_t slot = SlotBytes(page_size_bytes());
   const uint32_t chunk_pages = std::min(count, kChunkPages);
-  scratch->resize(chunk_pages * slot);
+  scratch_.resize(chunk_pages * slot);
   uint32_t done = 0;
   while (done < count) {
     const uint32_t n = std::min(count - done, chunk_pages);
     PMJOIN_RETURN_IF_ERROR(
-        PreadAll(fd, scratch->data(), n * slot,
-                 SlotOffset(page_size_bytes(), pid.page + done), fname, io));
+        PreadAll(fd, scratch_.data(), n * slot,
+                 SlotOffset(page_size_bytes(), pid.page + done), fname));
     for (uint32_t i = 0; i < n; ++i) {
-      const uint8_t* slot_base = scratch->data() + i * slot;
-      ++io->checksum_checks;
+      const uint8_t* slot_base = scratch_.data() + i * slot;
+      ++measured_.checksum_checks;
       if (Xxh64(slot_base, page_size_bytes()) !=
           GetU64(slot_base + page_size_bytes())) {
         return Status::Corruption(
@@ -329,202 +337,6 @@ Status FileBackend::ReadSlotsVerify(int fd, PageId pid, uint32_t count,
     done += n;
   }
   return Status::OK();
-}
-
-Status FileBackend::DoReadPages(PageId pid, uint32_t count,
-                                uint8_t* payload_out) {
-  PMJOIN_RETURN_IF_ERROR(FileStatus(pid.file));
-
-  // Staged-run fast path: when the async reader was asked to stage exactly
-  // this run, consume its result instead of re-reading. The modeled ledger
-  // is untouched either way — the base class charges it after this hook
-  // returns, identically for staged and synchronous reads.
-  Status staged_status;
-  std::unique_ptr<uint8_t[]> staged_slots;
-  MeasuredIo staged_io;
-  bool consumed = false;
-  uint64_t waited_ns = 0;
-  {
-    MutexLock lock(&staging_mu_);
-    const uint64_t key = StageKey(pid);
-    auto it = staging_.find(key);
-    if (it != staging_.end() && it->second.count == count) {
-      if (it->second.state == StageState::kPending) {
-        // The reader never got to it: claim it back, read synchronously.
-        staging_.erase(it);
-      } else {
-        if (it->second.state == StageState::kInFlight) {
-#ifndef PMJOIN_OBS_DISABLED
-          const bool timed = obs::ObsEnabled();
-          const int64_t t0 = timed ? obs::MonotonicNanos() : 0;
-#endif
-          // Re-find after each wake: BeginStage inserts (from the
-          // coordinator) cannot run while we block here, but PerformStage
-          // publishing other runs keeps the map live.
-          while (staging_.at(key).state == StageState::kInFlight)
-            staging_cv_.Wait(&staging_mu_);
-#ifndef PMJOIN_OBS_DISABLED
-          if (timed)
-            waited_ns = static_cast<uint64_t>(obs::MonotonicNanos() - t0);
-#endif
-        }
-        StagedRun& run = staging_.at(key);
-        staged_status = std::move(run.status);
-        staged_slots = std::move(run.slots);
-        staged_io = run.io;
-        staging_.erase(key);
-        consumed = true;
-      }
-    }
-  }
-  if (consumed) {
-    measured_.Merge(staged_io);
-#ifndef PMJOIN_OBS_DISABLED
-    if (waited_ns > 0) PMJOIN_METRIC_RECORD("io.wait_ns", waited_ns);
-#endif
-    (void)waited_ns;
-    PMJOIN_RETURN_IF_ERROR(staged_status);
-    if (payload_out != nullptr) {
-      const uint64_t slot = SlotBytes(page_size_bytes());
-      for (uint32_t i = 0; i < count; ++i) {
-        std::memcpy(payload_out + uint64_t(i) * page_size_bytes(),
-                    staged_slots.get() + uint64_t(i) * slot,
-                    page_size_bytes());
-      }
-    }
-    return Status::OK();
-  }
-
-  return ReadSlotsVerify(handles_[pid.file].fd, pid, count,
-                         file(pid.file).name, payload_out, &scratch_,
-                         &measured_);
-}
-
-bool FileBackend::BeginStage(PageId pid, uint32_t count) {
-  if (count == 0 || pid.file >= handles_.size()) return false;
-  if (handles_[pid.file].fd < 0) return false;
-  if (pid.page >= num_pages(pid.file) ||
-      count > num_pages(pid.file) - pid.page)
-    return false;
-  MutexLock lock(&staging_mu_);
-  auto [it, inserted] = staging_.try_emplace(StageKey(pid));
-  if (!inserted) return false;
-  it->second.count = count;
-  return true;
-}
-
-void FileBackend::PerformStage(PageId pid, uint32_t count) {
-  const uint64_t key = StageKey(pid);
-  int fd = -1;
-  {
-    MutexLock lock(&staging_mu_);
-    auto it = staging_.find(key);
-    if (it == staging_.end() || it->second.state != StageState::kPending ||
-        it->second.count != count)
-      return;  // claimed back or dropped before we got here
-    it->second.state = StageState::kInFlight;
-    ++staging_inflight_;
-    // Check out this stream's private descriptor (see staging_fds_ in the
-    // header: one kernel file description per concurrent read stream keeps
-    // readahead sequential-detection intact).
-    std::vector<int>& pool = staging_fds_[pid.file];
-    if (!pool.empty()) {
-      fd = pool.back();
-      pool.pop_back();
-    }
-  }
-  // Physical read + verification with no lock held, into per-run local
-  // buffers and counters (scratch_/measured_ are coordinator-only, and
-  // the metric mirrors inside PreadAll must not fire under staging_mu_).
-  // The run's raw slot image is read in the same chunk sizes the
-  // synchronous path uses and verified in place; no payload copy happens
-  // here (the consume path copies straight from the image).
-  const uint64_t slot = SlotBytes(page_size_bytes());
-  auto slots = std::make_unique_for_overwrite<uint8_t[]>(uint64_t(count) * slot);
-  MeasuredIo io;
-  Status st = FileStatus(pid.file);
-  if (st.ok()) {
-    if (fd < 0 && !handles_[pid.file].path.empty())
-      fd = ::open(handles_[pid.file].path.c_str(), O_RDONLY);
-    // Shared-descriptor fallback if the private open failed: correct,
-    // just slower under concurrency.
-    const int read_fd = fd >= 0 ? fd : handles_[pid.file].fd;
-    const std::string& fname = file(pid.file).name;
-    for (uint32_t done = 0; done < count && st.ok();
-         done += std::min(count - done, kChunkPages)) {
-      const uint32_t n = std::min(count - done, kChunkPages);
-      st = PreadAll(read_fd, slots.get() + uint64_t(done) * slot, n * slot,
-                    SlotOffset(page_size_bytes(), pid.page + done), fname,
-                    &io);
-    }
-    for (uint32_t i = 0; i < count && st.ok(); ++i) {
-      const uint8_t* slot_base = slots.get() + i * slot;
-      ++io.checksum_checks;
-      if (Xxh64(slot_base, page_size_bytes()) !=
-          GetU64(slot_base + page_size_bytes())) {
-        st = Status::Corruption(
-            "FileBackend: page checksum mismatch in '" + fname + "' page " +
-            std::to_string(pid.page + i));
-      }
-    }
-  }
-  MutexLock lock(&staging_mu_);
-  auto it = staging_.find(key);
-  if (it != staging_.end() && it->second.state == StageState::kInFlight) {
-    it->second.state = StageState::kReady;
-    it->second.status = std::move(st);
-    it->second.slots = std::move(slots);
-    it->second.io = io;
-  }
-  --staging_inflight_;
-  if (fd >= 0) staging_fds_[pid.file].push_back(fd);
-  staging_cv_.NotifyAll();
-}
-
-void FileBackend::DropStaged() {
-  MeasuredIo dropped;
-  {
-    MutexLock lock(&staging_mu_);
-    // Pending runs never started; in-flight runs must finish first (the
-    // reader thread still references their entries).
-    for (auto it = staging_.begin(); it != staging_.end();) {
-      it = it->second.state == StageState::kPending ? staging_.erase(it)
-                                                    : std::next(it);
-    }
-    while (staging_inflight_ > 0) staging_cv_.Wait(&staging_mu_);
-    for (const auto& [key, run] : staging_) dropped.Merge(run.io);
-    staging_.clear();
-  }
-  // Dropped reads still happened physically: they stay in the measured
-  // ledger. The modeled ledger never saw them (staging charges nothing).
-  measured_.Merge(dropped);
-}
-
-size_t FileBackend::StagedCount() const {
-  MutexLock lock(&staging_mu_);
-  return staging_.size();
-}
-
-void FileBackend::AdviseWillNeed(PageId pid, uint32_t count) {
-  if (count == 0 || pid.file >= handles_.size()) return;
-  if (handles_[pid.file].fd < 0) return;
-  if (pid.page >= num_pages(pid.file) ||
-      count > num_pages(pid.file) - pid.page)
-    return;
-#if defined(POSIX_FADV_WILLNEED)
-  int rc;
-  do {
-    rc = ::posix_fadvise(
-        handles_[pid.file].fd,
-        static_cast<off_t>(SlotOffset(page_size_bytes(), pid.page)),
-        static_cast<off_t>(uint64_t(count) * SlotBytes(page_size_bytes())),
-        POSIX_FADV_WILLNEED);
-  } while (rc == EINTR);
-  if (rc == 0) {
-    ++measured_.fadvise_calls;
-    PMJOIN_METRIC_COUNT("io.fadvise_calls", 1);
-  }
-#endif
 }
 
 Status FileBackend::DoWritePage(PageId pid, const uint8_t* payload,

@@ -50,20 +50,6 @@ class StorageBackend {
     uint64_t write_bytes = 0;
     uint64_t sync_calls = 0;
     uint64_t checksum_checks = 0;
-    uint64_t fadvise_calls = 0;
-
-    /// Folds another counter set into this one (used to merge the
-    /// per-staged-run counters accumulated off-thread by the async
-    /// reader back into the backend's ledger on the coordinator).
-    void Merge(const MeasuredIo& other) {
-      read_syscalls += other.read_syscalls;
-      write_syscalls += other.write_syscalls;
-      read_bytes += other.read_bytes;
-      write_bytes += other.write_bytes;
-      sync_calls += other.sync_calls;
-      checksum_checks += other.checksum_checks;
-      fadvise_calls += other.fadvise_calls;
-    }
   };
 
   explicit StorageBackend(DiskModel model = DiskModel(),
@@ -148,60 +134,6 @@ class StorageBackend {
   /// Resets modeled counters (not file layout). Used between benchmark
   /// phases that share a dataset.
   void ResetStats() { stats_.Reset(); }
-
-  /// --- Asynchronous staging (optional; see io/async_reader.h) ---
-  ///
-  /// Staging moves *physical bytes only* — it never touches the modeled
-  /// `IoStats` ledger, which is charged (by the base class, as always)
-  /// when the staged run is later consumed through `ReadPages` at its
-  /// normal call site. A backend without physical reads has nothing to
-  /// stage; the defaults make staging a no-op there.
-  ///
-  /// Lifecycle of one staged run (a physically consecutive page range):
-  ///   1. BeginStage(pid, count)  — coordinator registers the run (pending).
-  ///      Returns false if the backend does not stage, the range is
-  ///      invalid, or a run with the same start is already registered.
-  ///      (Runs are keyed by start; consumption requires an exact
-  ///      (start, count) match, so distinct-start overlaps are harmless —
-  ///      they just read some bytes twice.)
-  ///   2. PerformStage(pid, count) — an I/O thread claims the pending run,
-  ///      physically reads + verifies it into a staging buffer, and
-  ///      publishes the result (payload or error). A run already claimed
-  ///      back by the coordinator (step 3 hit first) is skipped.
-  ///   3. ReadPages(pid, count) on the coordinator consumes the staged
-  ///      result instead of re-reading: ready runs are taken as-is
-  ///      (blocking briefly if the read is still in flight — the wait is
-  ///      surfaced via the `io.wait_ns` metric); still-pending runs are
-  ///      claimed back and read synchronously.
-  ///   4. DropStaged() discards whatever was never consumed (end of run or
-  ///      error unwind). Physical reads that already happened stay in the
-  ///      measured ledger — the bytes really moved.
-  virtual bool SupportsStaging() const { return false; }
-  virtual bool BeginStage(PageId pid, uint32_t count) {
-    (void)pid;
-    (void)count;
-    return false;
-  }
-  /// Thread-safe; the only StorageBackend entry point I/O threads may call.
-  virtual void PerformStage(PageId pid, uint32_t count) {
-    (void)pid;
-    (void)count;
-  }
-  /// Blocks until no stage is in flight, then discards unconsumed runs.
-  /// Coordinator-only, and only safe once no further PerformStage calls
-  /// can be *submitted* (destroy the AsyncReader first).
-  virtual void DropStaged() {}
-  /// Number of runs currently registered (pending, in flight, or ready).
-  virtual size_t StagedCount() const { return 0; }
-
-  /// Advises the OS that `count` pages starting at `pid` will be needed
-  /// soon (posix_fadvise WILLNEED where available; counted in
-  /// `MeasuredIo::fadvise_calls`). Purely a kernel read-ahead hint: no
-  /// modeled cost, no effect on results. Coordinator-only.
-  virtual void AdviseWillNeed(PageId pid, uint32_t count) {
-    (void)pid;
-    (void)count;
-  }
 
  protected:
   /// Physical hooks. The base class validates arguments and performs the

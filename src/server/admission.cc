@@ -46,11 +46,6 @@ Status AdmissionController::Admit(JobSpec* job) const {
     return Status::InvalidArgument(
         "threads " + std::to_string(job->num_threads) + " exceeds limit " +
         std::to_string(options_.max_threads));
-  if (job->io_threads == 0) job->io_threads = options_.default_io_threads;
-  if (job->io_threads > options_.max_io_threads)
-    return Status::InvalidArgument(
-        "io_threads " + std::to_string(job->io_threads) + " exceeds limit " +
-        std::to_string(options_.max_io_threads));
   return Status::OK();
 }
 

@@ -34,9 +34,7 @@ struct QueuedQuery {
 ///     programmatic submissions — kNN jobs ignore the engine field),
 ///   - its buffer_pages (explicit or server default) fits the shared
 ///     pool, so the query cannot deadlock on pool capacity,
-///   - num_threads is at most max_threads,
-///   - io_threads (explicit or server default; the async read pipeline's
-///     dedicated reader threads) is at most max_io_threads.
+///   - num_threads is at most max_threads.
 class AdmissionController {
  public:
   struct Options {
@@ -44,8 +42,6 @@ class AdmissionController {
     uint32_t default_buffer_pages = 100;
     uint32_t default_threads = 1;
     uint32_t max_threads = 64;
-    uint32_t default_io_threads = 0;    ///< 0 = synchronous reads.
-    uint32_t max_io_threads = 16;
   };
 
   explicit AdmissionController(Options options) : options_(options) {}

@@ -276,17 +276,14 @@ Result<std::optional<JobSpec>> ParseJobLine(const std::string& line) {
       job.eps = value.number;
     } else if (key == "engine") {
       PMJOIN_ASSIGN_OR_RETURN(job.engine, ParseEngine(value.text));
-    } else if (key == "buffer_pages" || key == "threads" ||
-               key == "io_threads" || key == "k") {
+    } else if (key == "buffer_pages" || key == "threads" || key == "k") {
       if (value.type != JsonScalar::Type::kNumber || value.number < 0 ||
           value.number != static_cast<double>(
                               static_cast<uint32_t>(value.number)))
         return Status::InvalidArgument(key + " must be a small integer");
       (key == "buffer_pages"
            ? job.buffer_pages
-           : key == "threads"
-                 ? job.num_threads
-                 : key == "io_threads" ? job.io_threads : job.k) =
+           : key == "threads" ? job.num_threads : job.k) =
           static_cast<uint32_t>(value.number);
     } else {
       return Status::InvalidArgument("unknown job key: " + key);

@@ -61,7 +61,6 @@ struct JobSpec {
   Algorithm engine = Algorithm::kSc;
   uint32_t buffer_pages = 0;  ///< 0 = server default.
   uint32_t num_threads = 0;   ///< 0 = server default.
-  uint32_t io_threads = 0;    ///< 0 = server default (which may be 0 = sync).
   /// 0 = ε-join (eps required); >= 1 = kNN join with this k (eps and
   /// engine must be absent — the kNN engine is its own query type).
   uint32_t k = 0;
@@ -82,7 +81,7 @@ std::string EngineToken(Algorithm algorithm);
 ///    "eps": 0.01, "engine": "sc"}
 ///
 /// Recognized keys: cmd (optional, must be "submit"), id, r, s, eps,
-/// engine, buffer_pages, threads, io_threads, k. `r` and `s` are always
+/// engine, buffer_pages, threads, k. `r` and `s` are always
 /// required; exactly one of `eps` (ε-join) or `k` (kNN join) must be
 /// present, and `engine` only applies to ε-joins. Unknown keys are
 /// rejected by name — a typo must not run the wrong query shape.

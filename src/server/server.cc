@@ -16,8 +16,7 @@ JoinServer::JoinServer(StorageBackend* disk, Options options)
       options_(options),
       admission_(AdmissionController::Options{
           options.pool_pages, options.default_buffer_pages,
-          options.default_threads, options.max_threads,
-          options.default_io_threads, options.max_io_threads}),
+          options.default_threads, options.max_threads}),
       queue_(options.max_queue_depth),
       cache_(disk, ArtifactCache::Options{
                        options.page_size_bytes, options.persist_datasets,
@@ -53,43 +52,23 @@ uint64_t JoinServer::Register(JobSpec* job) {
   return index;
 }
 
-Result<uint64_t> JoinServer::Submit(const JobSpec& job_in) {
-  JobSpec job = job_in;
-  const uint64_t index = Register(&job);
-  Status st = admission_.Admit(&job);
-  if (st.ok())
-    st = queue_.TryPush(QueuedQuery{index, job, obs::MonotonicNanos()});
-  if (!st.ok()) {
-    QueryResult rejected;
-    rejected.row.id = job.id;
-    rejected.row.engine = EngineToken(job.k > 0 ? Algorithm::kKnn
-                                                : job.engine);
-    rejected.row.r = job.r;
-    rejected.row.s = job.s;
-    rejected.row.eps = job.eps;
-    rejected.row.k = job.k;
-    rejected.row.status = "rejected";
-    rejected.row.error = st.message();
-    {
-      MutexLock lock(&mu_);
-      ++admission_stats_.rejected;
-    }
-    Finish(index, std::move(rejected));
-    return st;
-  }
-  {
-    MutexLock lock(&mu_);
-    ++admission_stats_.admitted;
-  }
-  return index;
+Result<uint64_t> JoinServer::Submit(const JobSpec& job) {
+  return Enqueue(job, /*blocking=*/false);
 }
 
-Result<uint64_t> JoinServer::SubmitBlocking(const JobSpec& job_in) {
+Result<uint64_t> JoinServer::SubmitBlocking(const JobSpec& job) {
+  return Enqueue(job, /*blocking=*/true);
+}
+
+Result<uint64_t> JoinServer::Enqueue(const JobSpec& job_in, bool blocking) {
   JobSpec job = job_in;
   const uint64_t index = Register(&job);
   Status st = admission_.Admit(&job);
-  if (st.ok())
-    st = queue_.PushBlocking(QueuedQuery{index, job, obs::MonotonicNanos()});
+  if (st.ok()) {
+    QueuedQuery queued{index, job, obs::MonotonicNanos()};
+    st = blocking ? queue_.PushBlocking(std::move(queued))
+                  : queue_.TryPush(std::move(queued));
+  }
   if (!st.ok()) {
     QueryResult rejected;
     rejected.row.id = job.id;
@@ -200,7 +179,6 @@ void JoinServer::Execute(const QueuedQuery& queued) {
     join_options.seed = options_.seed;
     join_options.page_size_bytes = options_.page_size_bytes;
     join_options.num_threads = job.num_threads;
-    join_options.io_threads = job.io_threads;
 
     JoinResources resources;
     resources.shared_pool = &pool_;

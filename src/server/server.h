@@ -62,11 +62,6 @@ class JoinServer {
     uint32_t default_buffer_pages = 100;
     uint32_t default_threads = 1;
     uint32_t max_threads = 64;
-    /// JoinOptions::io_threads when the job does not set one (async read
-    /// pipeline; 0 = synchronous reads, the meaningful default on the
-    /// simulated backend, which has no physical reads to overlap).
-    uint32_t default_io_threads = 0;
-    uint32_t max_io_threads = 16;
     size_t max_queue_depth = 64;
     uint32_t page_size_bytes = 4096;
     Norm norm = Norm::kL2;
@@ -135,6 +130,10 @@ class JoinServer {
  private:
   /// Worker loop: pops until the queue closes and drains.
   void WorkerLoop();
+  /// Submit and SubmitBlocking: admits `job` and pushes it, blocking for
+  /// queue space iff `blocking`, or records it as rejected.
+  Result<uint64_t> Enqueue(const JobSpec& job, bool blocking)
+      PMJOIN_EXCLUDES(mu_);
   /// Executes one admitted query inside its own obs session.
   void Execute(const QueuedQuery& queued) PMJOIN_EXCLUDES(mu_);
   /// Records a terminal state for query `index` and wakes waiters.

@@ -7,7 +7,7 @@
 // Usage:
 //   pmjoin_server [--jobs=FILE|-] [--backend=sim|file] [--data-dir=DIR]
 //                 [--pool=PAGES] [--buffer=PAGES] [--queue=N]
-//                 [--threads=N] [--io-threads=N] [--page=BYTES]
+//                 [--threads=N] [--page=BYTES]
 //                 [--norm=l1|l2|linf] [--seed=S]
 //                 [--report=FILE] [--query-reports=DIR] [--persist]
 //                 [--no-backpressure]
@@ -25,13 +25,11 @@
 // --buffer is the per-query default budget B (jobs may override, capped
 // at --pool by admission). --queue bounds the query queue: under the
 // default backpressure regime a full queue blocks the submitter, with
-// --no-backpressure it rejects the job instead. --threads and
-// --io-threads set the per-query worker/async-I/O-thread defaults (jobs
-// may override via the "threads" / "io_threads" keys, capped by
-// admission); --io-threads only matters with --backend=file, where it
-// overlaps the physical page reads with the joins. --report writes the
-// aggregate server report; --query-reports writes each query's
-// pmjoin.run_report.v1 to DIR/<id>.json.
+// --no-backpressure it rejects the job instead. --threads sets the
+// per-query worker-thread default (jobs may override via the "threads"
+// key, capped by admission). --report writes the aggregate server
+// report; --query-reports writes each query's pmjoin.run_report.v1 to
+// DIR/<id>.json.
 //
 // Example (two jobs over one pipe; the second reuses the cached
 // datasets and shared pool residency of the first):
@@ -69,7 +67,6 @@ struct CliArgs {
   uint32_t buffer = 64;
   uint32_t queue = 64;
   uint32_t threads = 1;
-  uint32_t io_threads = 0;
   uint32_t page = 1024;
   std::string norm = "l2";
   uint64_t seed = 1;
@@ -106,8 +103,6 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
       args.queue = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--threads", &value)) {
       args.threads = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--io-threads", &value)) {
-      args.io_threads = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--page", &value)) {
       args.page = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--norm", &value)) {
@@ -202,7 +197,6 @@ int Run(const CliArgs& args) {
   options.pool_pages = args.pool;
   options.default_buffer_pages = args.buffer;
   options.default_threads = args.threads;
-  options.default_io_threads = args.io_threads;
   options.max_queue_depth = args.queue;
   options.page_size_bytes = args.page;
   options.norm = *norm;
@@ -279,8 +273,7 @@ int main(int argc, char** argv) {
         "usage: pmjoin_server [--jobs=FILE|-] [--backend=sim|file]\n"
         "                     [--data-dir=DIR] [--pool=PAGES]\n"
         "                     [--buffer=PAGES] [--queue=N] [--threads=N]\n"
-        "                     [--io-threads=N] [--page=BYTES]\n"
-        "                     [--norm=l1|l2|linf]\n"
+        "                     [--page=BYTES] [--norm=l1|l2|linf]\n"
         "                     [--seed=S] [--report=FILE]\n"
         "                     [--query-reports=DIR] [--persist]\n"
         "                     [--no-backpressure]\n"
@@ -290,10 +283,7 @@ int main(int argc, char** argv) {
         "aggregate pmjoin.server_report.v1 JSON; --query-reports writes\n"
         "each query's pmjoin.run_report.v1 to DIR/<id>.json. --persist\n"
         "keeps built datasets on the backend (with --backend=file they\n"
-        "survive into the next server process). --io-threads=N overlaps\n"
-        "the file backend's physical reads with the joins (async\n"
-        "prefetch); results and modeled I/O unchanged. See\n"
-        "docs/SERVER.md.\n");
+        "survive into the next server process). See docs/SERVER.md.\n");
     return 2;
   }
   return Run(*args);

@@ -38,10 +38,8 @@ RunResult RunOnce(SmallVectorJoin& fixture,
   const IoStats io_before = fixture.disk().stats();
   BufferPool pool(&fixture.disk(), buffer);
   CollectingSink sink;
-  ExecutorOptions options;
-  options.num_threads = num_threads;
   result.status = ExecuteClusteredJoin(fixture.input(), clusters, order,
-                                       &pool, &sink, &result.ops, options);
+                                       &pool, &sink, &result.ops, num_threads);
   result.pairs = sink.pairs();
   result.io = fixture.disk().stats().Delta(io_before);
   return result;
@@ -186,10 +184,8 @@ TEST(ExecutorParallelTest, PrefetchDeclinedWhenBatchPagesAreTheVictims) {
     input.joiner = &joiner;
     BufferPool pool(&disk, 4);
     CountingSink sink;
-    ExecutorOptions options;
-    options.num_threads = threads;
     const Status st = ExecuteClusteredJoin(input, clusters, order, &pool,
-                                           &sink, nullptr, options);
+                                           &sink, nullptr, threads);
     ASSERT_TRUE(st.ok()) << "threads=" << threads << ": " << st.message();
     EXPECT_EQ(pool.PinnedCount(), 0u) << "threads=" << threads;
     if (threads == 1) {
@@ -238,10 +234,8 @@ TEST(ExecutorParallelTest, ErrorPositionsMatchSerial) {
     fresh.CreateFile("s", 12);
     BufferPool pool(&fresh, 4);  // big needs 6 pages.
     CountingSink sink;
-    ExecutorOptions options;
-    options.num_threads = threads;
     const Status st = ExecuteClusteredJoin(input, clusters, order, &pool,
-                                           &sink, nullptr, options);
+                                           &sink, nullptr, threads);
     EXPECT_FALSE(st.ok()) << "threads=" << threads;
     // The small cluster was processed before the failure.
     EXPECT_EQ(fresh.stats().pages_read, 2u) << "threads=" << threads;

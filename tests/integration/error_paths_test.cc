@@ -117,10 +117,8 @@ TEST_F(ExecutorErrorPathTest, OversizedClusterIsBufferFullSerialAndParallel) {
     BufferPool pool(&join_.disk(), 2);
     CountingSink sink;
     OpCounters ops;
-    ExecutorOptions options;
-    options.num_threads = threads;
     const Status st = ExecuteClusteredJoin(join_.input(), clusters, order,
-                                           &pool, &sink, &ops, options);
+                                           &pool, &sink, &ops, threads);
     ASSERT_FALSE(st.ok()) << "threads=" << threads;
     EXPECT_TRUE(st.IsBufferFull()) << "threads=" << threads;
     EXPECT_EQ(sink.count(), 0u) << "threads=" << threads;

@@ -208,6 +208,15 @@ TEST(FileBackendTest, TruncatedFileIsCorruption) {
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
   // The failed read charges no modeled transfer.
   EXPECT_EQ(backend->stats().pages_read, 0u);
+  // Reattaching checks the superblock's page count against the file size,
+  // so the damage is caught before any page is read or sized by it.
+  backend.reset();
+  const auto reopened = FileBackend::Open(dir, SmallPages());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status().ToString();
+  EXPECT_NE(reopened.status().ToString().find("claims 2 pages"),
+            std::string::npos)
+      << reopened.status().ToString();
 }
 
 TEST(FileBackendTest, BitFlippedPageIsCorruption) {

@@ -126,9 +126,10 @@ TEST(JobLineTest, RejectsMalformedLines) {
                             "\"s\": \"road/10/2\", \"eps\": 1}")
                    .ok());
   // Unknown keys are rejected *by name* — a typo must surface as itself,
-  // not as a missing-eps or wrong-shape complaint. "shards" is a removed
-  // key: old job lines that still set it must fail, not silently run.
-  for (const std::string key : {"frobnicate", "shards"}) {
+  // not as a missing-eps or wrong-shape complaint. "shards" and
+  // "io_threads" are removed keys: old job lines that still set them must
+  // fail, not silently run.
+  for (const std::string key : {"frobnicate", "shards", "io_threads"}) {
     auto unknown =
         ParseJobLine("{\"r\": \"road/10/1\", \"s\": \"road/10/2\", "
                      "\"eps\": 1, \"" + key + "\": true}");

@@ -8,9 +8,6 @@ matches rows of the known tables by (table, label), and compares each
 table's throughput metric:
 
     distance_kernels   terms_s_tiled   (tiled-kernel throughput)
-    cluster_join_file  records_s       (file-backend cluster-join
-                                        wall-clock throughput, sync and
-                                        async read-pipeline rows)
     knn_join           records_s       (kNN-join engine throughput,
                                         pm_knn and brute-force rows)
 
@@ -25,17 +22,8 @@ only one file, is reported but tolerated. This makes the bench-smoke CI
 job a tripwire for "the kernels fell off a cliff" (e.g. vectorization
 silently disabled), not a perf gate.
 
-One additional intra-run tripwire guards the async read pipeline: within
-the *current* run's cluster_join_file table, the best async row must not
-fall below the sync row by more than the threshold. That comparison is
-between two rows of the same run on the same machine, so it is immune to
-host-speed differences and catches the failure mode where the pipeline
-still produces correct results but silently serializes (every staged run
-claimed back, wall-clock collapsing to sync plus staging overhead).
-
 Usage: tools/bench_compare.py BASELINE.json CURRENT.json [--threshold X]
-Exits non-zero iff any label regressed by more than the threshold, or the
-async tripwire fired.
+Exits non-zero iff any label regressed by more than the threshold.
 """
 
 import argparse
@@ -47,7 +35,6 @@ import sys
 # flags drops); rows of other tables are ignored.
 TABLE_METRICS = {
     "distance_kernels": "terms_s_tiled",
-    "cluster_join_file": "records_s",
     "knn_join": "records_s",
 }
 
@@ -107,37 +94,6 @@ def sort_key(key):
     if table == "distance_kernels" and "/" in label:
         return (table, label.split("/")[1], label)
     return (table, label)
-
-
-def check_async_tripwire(curr, threshold):
-    """Intra-run collapse check: in `curr`'s cluster_join_file table, the
-    best async row's records_s must be at least sync's / threshold.
-    Returns an error string, or None if the check passes or does not
-    apply (no sync or no async rows — e.g. an older binary)."""
-    sync = curr.get(("cluster_join_file", "sync"))
-    async_rows = {label: row for (table, label), row in curr.items()
-                  if table == "cluster_join_file"
-                  and label.startswith("async")}
-    if sync is None or "records_s" not in sync or not async_rows:
-        return None
-    sync_rate = float(sync["records_s"])
-    best_label, best_rate = None, -1.0
-    for label, row in async_rows.items():
-        if "records_s" not in row:
-            continue
-        rate = float(row["records_s"])
-        if rate > best_rate:
-            best_label, best_rate = label, rate
-    if best_label is None or best_rate <= 0:
-        return ("async rows carry no records_s"
-                if best_label is None else
-                f"async path produced no throughput ({best_label})")
-    if sync_rate > best_rate * threshold:
-        return (f"async read pipeline collapsed: best async row "
-                f"{best_label} ({best_rate:.4g} records/s) is "
-                f"{sync_rate / best_rate:.1f}x below sync "
-                f"({sync_rate:.4g} records/s) in the same run")
-    return None
 
 
 def main():
@@ -200,19 +156,10 @@ def main():
     for table, label in sorted(set(curr) - set(base)):
         print(f"{table:<18} {label:<10} {'(new label, no baseline)':>33}")
 
-    failed = False
     if regressions:
         names = ", ".join(f"{l} ({r:.1f}x)" for l, r in regressions)
         print(f"\nbench_compare: throughput regressed more than "
               f"{args.threshold}x vs baseline: {names}", file=sys.stderr)
-        failed = True
-
-    tripwire = check_async_tripwire(curr, args.threshold)
-    if tripwire is not None:
-        print(f"\nbench_compare: {tripwire}", file=sys.stderr)
-        failed = True
-
-    if failed:
         return 1
     print(f"\nbench_compare: OK ({len(base)} labels, threshold "
           f"{args.threshold}x)")

@@ -47,10 +47,12 @@ Rules (see DESIGN.md "Invariants & checking"):
                     once, in DESIGN.md's hierarchy table. Every constant
                     must have a unique rank value (the paranoid checker
                     orders acquisitions by it; a duplicate would let two
-                    different mutexes interleave undetected) and every rank
-                    must appear in DESIGN.md — an undocumented rank means
-                    the capability table no longer describes the hierarchy
-                    the code enforces.
+                    different mutexes interleave undetected), every rank
+                    must appear in DESIGN.md, and every capability-table
+                    row must name a rank sync.h still defines — an
+                    undocumented rank, or a row left behind by a deleted
+                    one, means the capability table no longer describes
+                    the hierarchy the code enforces.
   include-hygiene   Header guards match the file path (PMJOIN_<PATH>_H_),
                     each src/ .cc includes its own header first, no "../"
                     includes, no angle-bracket includes of project headers.
@@ -352,8 +354,9 @@ def lint_file(root, rel_path):
 
 
 def lint_lock_ranks(root):
-    """Repo-level rule: the sync.h lock-rank constants are unique and each
-    rank appears in DESIGN.md's lock hierarchy documentation."""
+    """Repo-level rule: the sync.h lock-rank constants are unique, each
+    rank appears in DESIGN.md's lock hierarchy documentation, and each
+    capability-table row names a defined rank."""
     findings = []
     sync_path = os.path.join(root, LOCK_RANK_HEADER)
     doc_path = os.path.join(root, LOCK_RANK_DOC)
@@ -388,10 +391,12 @@ def lint_lock_ranks(root):
     with open(doc_path, encoding="utf-8") as f:
         doc_lines = f.read().split("\n")
     documented = set()
-    for line in doc_lines:
+    table_rows = []  # (lineno, rank)
+    for lineno, line in enumerate(doc_lines, 1):
         m = LOCK_RANK_TABLE_RE.match(line)
         if m:
             documented.add(int(m.group(1)))
+            table_rows.append((lineno, int(m.group(1))))
         for m in LOCK_RANK_PROSE_RE.finditer(line):
             documented.add(int(m.group(1)))
     for lineno, name, value in ranks:
@@ -401,6 +406,13 @@ def lint_lock_ranks(root):
                 f"rank {value} ({name}) is not in {LOCK_RANK_DOC}'s lock "
                 "hierarchy table; document every rank so the capability "
                 "table matches what the code enforces"))
+    for lineno, value in table_rows:
+        if value not in first_with:
+            findings.append(Finding(
+                LOCK_RANK_DOC, lineno, "lock-rank",
+                f"capability-table row has rank {value}, which "
+                f"{LOCK_RANK_HEADER} does not define; delete the row with "
+                "its rank"))
     return findings
 
 

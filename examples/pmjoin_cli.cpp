@@ -36,6 +36,7 @@
 //   pmjoin_cli --data=walk --algo=pm-nlj --n=50000 --eps=1.5 --window=20
 //   pmjoin_cli --data=road --algo=cc --trace=trace.json --report=run.json
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +55,7 @@
 #include "obs/span.h"
 #include "obs/trace_exporter.h"
 #include "seq/sequence_store.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -82,15 +84,6 @@ struct CliArgs {
   bool observed() const { return !trace.empty() || !report.empty(); }
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 std::optional<CliArgs> Parse(int argc, char** argv) {
   CliArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -100,24 +93,31 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--algo", &value)) {
       args.algo = value;
     } else if (ParseFlag(argv[i], "--n", &value)) {
-      args.n = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseCount(argv[i], value, &args.n)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--dims", &value)) {
-      args.dims = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseCount(argv[i], value, &args.dims)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--eps", &value)) {
-      args.eps = std::atof(value.c_str());
+      char* end = nullptr;
+      args.eps = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0' || !std::isfinite(args.eps) ||
+          args.eps < 0) {
+        std::fprintf(stderr, "--eps: not a finite number >= 0: %s\n",
+                     value.c_str());
+        return std::nullopt;
+      }
       args.eps_explicit = true;
     } else if (ParseFlag(argv[i], "--k", &value)) {
-      args.k = static_cast<uint32_t>(std::atoi(value.c_str()));
+      if (!ParseCount(argv[i], value, &args.k)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--edits", &value)) {
-      args.edits = std::atoi(value.c_str());
+      if (!ParseCount(argv[i], value, &args.edits)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--buffer", &value)) {
-      args.buffer = std::atoi(value.c_str());
+      if (!ParseCount(argv[i], value, &args.buffer)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--page", &value)) {
-      args.page = std::atoi(value.c_str());
+      if (!ParseCount(argv[i], value, &args.page)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--window", &value)) {
-      args.window = std::atoi(value.c_str());
+      if (!ParseCount(argv[i], value, &args.window)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      args.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseCount(argv[i], value, &args.seed)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--norm", &value)) {
       args.norm = value;
     } else if (ParseFlag(argv[i], "--backend", &value)) {
@@ -368,7 +368,7 @@ int Run(const CliArgs& args) {
     const uint32_t paa = window % 5 == 0 ? 5 : (window % 4 == 0 ? 4 : 1);
     auto r = TimeSeriesStore::Build(&disk, "R",
                                     GenRandomWalk(args.n, args.seed),
-                                    window, paa, args.page);
+                                    paa, window, args.page);
     if (!r.ok()) {
       std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
       return 1;
@@ -376,7 +376,7 @@ int Run(const CliArgs& args) {
     std::optional<TimeSeriesStore> s;
     if (!args.self) {
       auto built = TimeSeriesStore::Build(
-          &disk, "S", GenRandomWalk(args.n, args.seed + 1), window, paa,
+          &disk, "S", GenRandomWalk(args.n, args.seed + 1), paa, window,
           args.page);
       if (!built.ok()) {
         std::fprintf(stderr, "%s\n", built.status().ToString().c_str());

@@ -55,10 +55,10 @@ int main() {
     }
   }
   auto nyse = TimeSeriesStore::Build(&disk, "NYSE", std::move(nyse_prices),
-                                     kMonth, kPaaDims, 4096);
+                                     kPaaDims, kMonth, 4096);
   auto tokyo = TimeSeriesStore::Build(&disk, "Tokyo",
-                                      std::move(tokyo_prices), kMonth,
-                                      kPaaDims, 4096);
+                                      std::move(tokyo_prices), kPaaDims,
+                                      kMonth, 4096);
   if (!nyse.ok() || !tokyo.ok()) {
     std::fprintf(stderr, "store build failed\n");
     return 1;

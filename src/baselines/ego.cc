@@ -4,13 +4,11 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "geom/distance_kernels.h"
 #include "io/external_sort.h"
-#include "seq/edit_distance.h"
-#include "seq/frequency_vector.h"
-#include "seq/paa.h"
 
 namespace pmjoin {
 namespace {
@@ -94,16 +92,46 @@ Status BuildEgoSide(StorageBackend* disk, std::string_view name,
 
 /// The EGO sweep: for every pair whose cells differ by at most 1 in every
 /// dimension *and* whose feature distance is within `threshold`, invokes
-/// `emit(pos_r, pos_s)`. I/O flows through `pool` (R sequential, S via the
-/// first-dimension band window; a band wider than the buffer thrashes,
-/// which is EGO's failure mode at small buffers).
+/// `emit(pos_r, pos_s)`; the first error `emit` returns ends the sweep.
+/// I/O flows through `pool` (R sequential, S via the first-dimension band
+/// window; a band wider than the buffer thrashes, which is EGO's failure
+/// mode at small buffers). Every pin is released on every path.
 Status EgoSweep(const EgoSide& r, const EgoSide& s, double cell_width,
                 Norm norm, double threshold, BufferPool* pool,
                 OpCounters* ops,
-                const std::function<void(uint64_t, uint64_t)>& emit) {
+                const std::function<Status(uint64_t, uint64_t)>& emit) {
   if (r.count() == 0 || s.count() == 0) return Status::OK();
+  // Joins R rows [a, b) with S rows [sa, sb) of one pinned page pair.
+  const auto join_rows = [&](uint64_t a, uint64_t b, uint64_t sa,
+                             uint64_t sb) -> Status {
+    for (uint64_t i = a; i < b; ++i) {
+      const std::span<const float> x = r.Row(i);
+      for (uint64_t j = sa; j < sb; ++j) {
+        // Cell band test, dimension by dimension.
+        bool band = true;
+        const std::span<const float> y = s.Row(j);
+        for (size_t d = 0; d < r.dims; ++d) {
+          if (ops != nullptr) ++ops->filter_checks;
+          const int64_t cd =
+              CellOf(x[d], cell_width) - CellOf(y[d], cell_width);
+          if (cd < -1 || cd > 1) {
+            band = false;
+            break;
+          }
+        }
+        if (!band) continue;
+        if (ops != nullptr) ops->distance_terms += r.dims;
+        if (kernels::WithinOne(x.data(), y.data(), r.dims, norm,
+                               threshold)) {
+          PMJOIN_RETURN_IF_ERROR(emit(r.positions[i], s.positions[j]));
+        }
+      }
+    }
+    return Status::OK();
+  };
   for (uint32_t rp = 0; rp < r.num_pages; ++rp) {
-    PMJOIN_RETURN_IF_ERROR(pool->Pin(PageId{r.file, rp}));
+    const PageId r_pid{r.file, rp};
+    PMJOIN_RETURN_IF_ERROR(pool->Pin(r_pid));
     const uint64_t a = uint64_t(rp) * r.records_per_page;
     const uint64_t b = std::min<uint64_t>(a + r.records_per_page, r.count());
     // Page-level band over S from this page's cell0 range.
@@ -115,44 +143,20 @@ Status EgoSweep(const EgoSide& r, const EgoSide& s, double cell_width,
     const uint64_t s_hi =
         std::upper_bound(s.cell0.begin(), s.cell0.end(), hi_cell) -
         s.cell0.begin();
-    if (s_lo >= s_hi) {
-      pool->Unpin(PageId{r.file, rp});
-      continue;
+    Status st;
+    for (uint32_t sp = s.PageOf(s_lo); s_lo < s_hi && sp <= s.PageOf(s_hi - 1);
+         ++sp) {
+      const PageId s_pid{s.file, sp};
+      st = pool->Pin(s_pid);
+      if (!st.ok()) break;
+      st = join_rows(
+          a, b, std::max<uint64_t>(s_lo, uint64_t(sp) * s.records_per_page),
+          std::min<uint64_t>(s_hi, uint64_t(sp + 1) * s.records_per_page));
+      pool->Unpin(s_pid);
+      if (!st.ok()) break;
     }
-    const uint32_t sp_lo = s.PageOf(s_lo);
-    const uint32_t sp_hi = s.PageOf(s_hi - 1);
-    for (uint32_t sp = sp_lo; sp <= sp_hi; ++sp) {
-      PMJOIN_RETURN_IF_ERROR(pool->Pin(PageId{s.file, sp}));
-      const uint64_t sa = std::max<uint64_t>(
-          s_lo, uint64_t(sp) * s.records_per_page);
-      const uint64_t sb = std::min<uint64_t>(
-          s_hi, uint64_t(sp + 1) * s.records_per_page);
-      for (uint64_t i = a; i < b; ++i) {
-        const std::span<const float> x = r.Row(i);
-        for (uint64_t j = sa; j < sb; ++j) {
-          // Cell band test, dimension by dimension.
-          bool band = true;
-          const std::span<const float> y = s.Row(j);
-          for (size_t d = 0; d < r.dims; ++d) {
-            if (ops != nullptr) ++ops->filter_checks;
-            const int64_t cd =
-                CellOf(x[d], cell_width) - CellOf(y[d], cell_width);
-            if (cd < -1 || cd > 1) {
-              band = false;
-              break;
-            }
-          }
-          if (!band) continue;
-          if (ops != nullptr) ops->distance_terms += r.dims;
-          if (kernels::WithinOne(x.data(), y.data(), r.dims, norm,
-                                 threshold)) {
-            emit(r.positions[i], s.positions[j]);
-          }
-        }
-      }
-      pool->Unpin(PageId{s.file, sp});
-    }
-    pool->Unpin(PageId{r.file, rp});
+    pool->Unpin(r_pid);
+    PMJOIN_RETURN_IF_ERROR(st);
   }
   return Status::OK();
 }
@@ -196,171 +200,71 @@ Status EgoJoinVectors(const VectorDataset& r, const VectorDataset& s,
 
   return EgoSweep(er, sref, eps, norm, eps, pool, ops,
                   [&](uint64_t a, uint64_t b) {
-                    if (self_join && a >= b) return;
+                    if (self_join && a >= b) return Status::OK();
                     sink->OnPair(a, b);
                     if (ops != nullptr) ++ops->result_pairs;
+                    return Status::OK();
                   });
 }
 
-namespace {
+template <typename Kind>
+Status EgoJoinSequence(const SequenceStore<Kind>& r,
+                       const SequenceStore<Kind>& s, bool self_join,
+                       typename Kind::Threshold threshold, StorageBackend* disk,
+                       BufferPool* pool, PairSink* sink, OpCounters* ops) {
+  if (self_join && &r != &s)
+    return Status::InvalidArgument("self_join requires identical stores");
+  const uint32_t L = r.layout().window_len;
+  const uint32_t dims = r.feature_dims();
+  const double feature_threshold = threshold / Kind::FeatureScale(L, dims);
+  const double cell_width = Kind::CellWidth(feature_threshold);
 
-/// Shared sequence-EGO driver: materialize per-window features (charging
-/// the original scan + materialized write), sweep in feature space, verify
-/// candidates against the original pages with random reads.
-template <typename VerifyFn>
-Status EgoJoinSequenceImpl(StorageBackend* disk, BufferPool* pool,
-                           OpCounters* ops, bool self_join,
-                           std::vector<float> r_feat,
-                           std::vector<uint64_t> r_pos,
-                           std::vector<float> s_feat,
-                           std::vector<uint64_t> s_pos, size_t dims,
-                           double cell_width, Norm norm, double threshold,
-                           uint32_t original_r_file,
-                           uint32_t original_s_file,
-                           const VerifyFn& verify) {
-  PMJOIN_RETURN_IF_ERROR(disk->ScanFile(original_r_file));
+  // A sequence cannot be reordered in place (§3): scan the original file,
+  // materialize one feature row per window and sort that copy.
+  auto build_side = [&](const SequenceStore<Kind>& store,
+                        std::string_view name, EgoSide* side) -> Status {
+    std::vector<float> features;
+    Kind::MaterializeWindows(store.symbols(), dims, L, &features, ops);
+    std::vector<uint64_t> positions(store.layout().NumWindows());
+    std::iota(positions.begin(), positions.end(), uint64_t{0});
+    PMJOIN_RETURN_IF_ERROR(disk->ScanFile(store.file_id()));
+    return BuildEgoSide(disk, name, std::move(features),
+                        std::move(positions), dims, cell_width, 4096,
+                        pool->capacity(), ops, side);
+  };
   EgoSide er;
-  PMJOIN_RETURN_IF_ERROR(BuildEgoSide(disk, "ego-seq-r", std::move(r_feat),
-                                      std::move(r_pos), dims, cell_width,
-                                      4096, pool->capacity(), ops, &er));
+  PMJOIN_RETURN_IF_ERROR(build_side(r, "ego-seq-r", &er));
   EgoSide es;
-  if (!self_join) {
-    PMJOIN_RETURN_IF_ERROR(disk->ScanFile(original_s_file));
-    PMJOIN_RETURN_IF_ERROR(BuildEgoSide(disk, "ego-seq-s",
-                                        std::move(s_feat), std::move(s_pos),
-                                        dims, cell_width, 4096,
-                                        pool->capacity(), ops, &es));
-  }
-  const EgoSide& sref = self_join ? er : es;
-  return EgoSweep(er, sref, cell_width, norm, threshold, pool, ops, verify);
-}
+  if (!self_join) PMJOIN_RETURN_IF_ERROR(build_side(s, "ego-seq-s", &es));
 
-}  // namespace
-
-Status EgoJoinTimeSeries(const TimeSeriesStore& r, const TimeSeriesStore& s,
-                         bool self_join, double eps, StorageBackend* disk,
-                         BufferPool* pool, PairSink* sink,
-                         OpCounters* ops) {
-  if (self_join && &r != &s)
-    return Status::InvalidArgument("self_join requires identical stores");
-  const uint32_t L = r.layout().window_len;
-  const uint32_t f = r.paa_dims();
-  const double scale = PaaScale(L, f);
-  const double feat_eps = eps / scale;
-
-  auto features_of = [&](const TimeSeriesStore& store,
-                         std::vector<float>* feat,
-                         std::vector<uint64_t>* pos) {
-    const uint64_t n = store.layout().NumWindows();
-    feat->reserve(n * f);
-    pos->reserve(n);
-    std::vector<float> paa(f);
-    for (uint64_t w = 0; w < n; ++w) {
-      PaaTransform(store.values().subspan(w, L), f, paa);
-      feat->insert(feat->end(), paa.begin(), paa.end());
-      pos->push_back(w);
-      if (ops != nullptr) ops->filter_checks += L;  // Materialization CPU.
-    }
-  };
-
-  std::vector<float> rf, sf;
-  std::vector<uint64_t> rp, sp;
-  features_of(r, &rf, &rp);
-  if (!self_join) features_of(s, &sf, &sp);
-
-  const double eps2 = eps * eps;
-  auto verify = [&](uint64_t wx, uint64_t wy) {
-    if (self_join && wx + L > wy) return;
-    // Random reads of the original pages holding the two windows.
+  // Verify each candidate against the original pages holding the two
+  // windows (random reads).
+  auto verify = [&](uint64_t wx, uint64_t wy) -> Status {
+    if (self_join && wx + L > wy) return Status::OK();
     const PageId px{r.file_id(), r.layout().PageOfWindow(wx)};
     const PageId py{s.file_id(), s.layout().PageOfWindow(wy)};
-    if (pool->Pin(px).ok()) {
-      if (pool->Pin(py).ok()) {
-        if (ops != nullptr) ops->distance_terms += L;
-        double sq = 0.0;
-        for (uint32_t t = 0; t < L; ++t) {
-          const double d =
-              double(r.values()[wx + t]) - s.values()[wy + t];
-          sq += d * d;
-          if (sq > eps2) break;
-        }
-        if (sq <= eps2) {
-          sink->OnPair(wx, wy);
-          if (ops != nullptr) ++ops->result_pairs;
-        }
-        pool->Unpin(py);
+    PMJOIN_RETURN_IF_ERROR(pool->Pin(px));
+    const Status st = pool->Pin(py);
+    if (st.ok()) {
+      if (Kind::WindowsMatch(r.symbols().subspan(wx, L),
+                             s.symbols().subspan(wy, L), threshold, ops)) {
+        sink->OnPair(wx, wy);
+        if (ops != nullptr) ++ops->result_pairs;
       }
-      pool->Unpin(px);
+      pool->Unpin(py);
     }
+    pool->Unpin(px);
+    return st;
   };
-
-  return EgoJoinSequenceImpl(disk, pool, ops, self_join, std::move(rf),
-                             std::move(rp), std::move(sf), std::move(sp), f,
-                             feat_eps, Norm::kL2, feat_eps, r.file_id(),
-                             s.file_id(), verify);
+  return EgoSweep(er, self_join ? er : es, cell_width, Kind::kNorm,
+                  feature_threshold, pool, ops, verify);
 }
 
-Status EgoJoinStrings(const StringSequenceStore& r,
-                      const StringSequenceStore& s, bool self_join,
-                      uint32_t max_edits, StorageBackend* disk,
-                      BufferPool* pool, PairSink* sink, OpCounters* ops) {
-  if (self_join && &r != &s)
-    return Status::InvalidArgument("self_join requires identical stores");
-  const uint32_t L = r.layout().window_len;
-  const uint32_t A = r.alphabet_size();
-  // Feature space: letter-frequency vectors under L1 with threshold 2k
-  // (ED >= L1/2); grid cell width = the threshold.
-  const double threshold = 2.0 * max_edits;
-  const double cell_width = std::max(1.0, threshold);
-
-  auto features_of = [&](const StringSequenceStore& store,
-                         std::vector<float>* feat,
-                         std::vector<uint64_t>* pos) {
-    const uint64_t n = store.layout().NumWindows();
-    feat->reserve(n * A);
-    pos->reserve(n);
-    std::vector<uint32_t> freq = BuildFrequencyVector(
-        store.symbols().subspan(0, L), A);
-    for (uint64_t w = 0; w < n; ++w) {
-      for (uint32_t c = 0; c < A; ++c)
-        feat->push_back(static_cast<float>(freq[c]));
-      pos->push_back(w);
-      if (ops != nullptr) ++ops->filter_checks;
-      if (w + 1 < n) {
-        --freq[store.symbols()[w]];
-        ++freq[store.symbols()[w + L]];
-      }
-    }
-  };
-
-  std::vector<float> rf, sf;
-  std::vector<uint64_t> rp, sp;
-  features_of(r, &rf, &rp);
-  if (!self_join) features_of(s, &sf, &sp);
-
-  auto verify = [&](uint64_t wx, uint64_t wy) {
-    if (self_join && wx + L > wy) return;
-    const PageId px{r.file_id(), r.layout().PageOfWindow(wx)};
-    const PageId py{s.file_id(), s.layout().PageOfWindow(wy)};
-    if (pool->Pin(px).ok()) {
-      if (pool->Pin(py).ok()) {
-        const size_t ed = BandedEditDistance(
-            r.symbols().subspan(wx, L), s.symbols().subspan(wy, L),
-            max_edits, ops);
-        if (ed <= max_edits) {
-          sink->OnPair(wx, wy);
-          if (ops != nullptr) ++ops->result_pairs;
-        }
-        pool->Unpin(py);
-      }
-      pool->Unpin(px);
-    }
-  };
-
-  return EgoJoinSequenceImpl(disk, pool, ops, self_join, std::move(rf),
-                             std::move(rp), std::move(sf), std::move(sp), A,
-                             cell_width, Norm::kL1, threshold, r.file_id(),
-                             s.file_id(), verify);
-}
+template Status EgoJoinSequence<StringKind>(
+    const StringSequenceStore&, const StringSequenceStore&, bool, uint32_t,
+    StorageBackend*, BufferPool*, PairSink*, OpCounters*);
+template Status EgoJoinSequence<SeriesKind>(
+    const TimeSeriesStore&, const TimeSeriesStore&, bool, double,
+    StorageBackend*, BufferPool*, PairSink*, OpCounters*);
 
 }  // namespace pmjoin

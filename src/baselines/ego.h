@@ -40,16 +40,16 @@ Status EgoJoinVectors(const VectorDataset& r, const VectorDataset& s,
                       StorageBackend* disk, BufferPool* pool, PairSink* sink,
                       OpCounters* ops);
 
-/// Subsequence ε-join (L2) of two time series.
-Status EgoJoinTimeSeries(const TimeSeriesStore& r, const TimeSeriesStore& s,
-                         bool self_join, double eps, StorageBackend* disk,
-                         BufferPool* pool, PairSink* sink, OpCounters* ops);
-
-/// Subsequence edit-distance join of two strings.
-Status EgoJoinStrings(const StringSequenceStore& r,
-                      const StringSequenceStore& s, bool self_join,
-                      uint32_t max_edits, StorageBackend* disk,
-                      BufferPool* pool, PairSink* sink, OpCounters* ops);
+/// Subsequence join of two sequence stores (edit distance <= k for
+/// strings, L2 <= ε for time series). Each candidate the feature-space
+/// sweep finds is verified against the original pages, which pins two
+/// pages on top of the sweep's two: a pool of fewer than 4 pages can fail
+/// with BufferFull.
+template <typename Kind>
+Status EgoJoinSequence(const SequenceStore<Kind>& r,
+                       const SequenceStore<Kind>& s, bool self_join,
+                       typename Kind::Threshold threshold, StorageBackend* disk,
+                       BufferPool* pool, PairSink* sink, OpCounters* ops);
 
 }  // namespace pmjoin
 

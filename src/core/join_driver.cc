@@ -303,7 +303,6 @@ Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
   knn_options.k = k;
   knn_options.norm = options.norm;
   knn_options.self_join = &r == &s;
-  knn_options.num_threads = options.num_threads;
 
   std::unique_ptr<BufferPool> owned;
   BufferPool* pool = resources.shared_pool;
@@ -311,22 +310,20 @@ Result<JoinReport> JoinDriver::RunKnnJoin(const VectorDataset& r,
     owned = std::make_unique<BufferPool>(disk_, options.buffer_pages);
     pool = owned.get();
   }
-  std::unique_ptr<ThreadPool> workers;
-  if (options.num_threads > 1)
-    workers = std::make_unique<ThreadPool>(options.num_threads);
 
   KnnResultSink results(r.num_records(), k);
   Status st = KnnJoinVectors(r, s, *matrix, knn_options, pool, &results,
-                             &ops, workers.get());
+                             &ops);
   if (!st.ok()) return st;
   results.Emit(sink, &ops);
   return FinishReport(std::move(report), io_before, ops);
 }
 
-template <typename Joiner, typename Store, typename Threshold, typename Ego>
-Result<JoinReport> JoinDriver::RunSequence(const char* caller, const Store& r,
-                                           const Store& s, Threshold threshold,
-                                           Norm norm, Ego ego,
+template <typename Kind>
+Result<JoinReport> JoinDriver::RunSequence(const char* caller,
+                                           const SequenceStore<Kind>& r,
+                                           const SequenceStore<Kind>& s,
+                                           typename Kind::Threshold threshold,
                                            const JoinOptions& options,
                                            PairSink* sink) {
   if (r.layout().window_len != s.layout().window_len)
@@ -337,7 +334,7 @@ Result<JoinReport> JoinDriver::RunSequence(const char* caller, const Store& r,
         "PBSM requires in-place partitioning; sequence data cannot be "
         "reordered (paper 3)");
   const bool self = &r == &s;
-  Joiner joiner(&r, &s, threshold, self);
+  SequencePairJoiner<Kind> joiner(&r, &s, threshold, self);
   JoinInput input;
   input.r_file = r.file_id();
   input.s_file = s.file_id();
@@ -362,12 +359,12 @@ Result<JoinReport> JoinDriver::RunSequence(const char* caller, const Store& r,
   if (options.algorithm == Algorithm::kEgo) {
     PMJOIN_SPAN_OPS("ego", &ops);
     BufferPool pool(disk_, options.buffer_pages);
-    st = ego(r, s, self, threshold, disk_, &pool, sink, &ops);
+    st = EgoJoinSequence(r, s, self, threshold, disk_, &pool, sink, &ops);
   } else if (options.algorithm == Algorithm::kBfrj) {
     PMJOIN_SPAN_OPS("bfrj", &ops);
     const auto [rt, stree] = page_trees();
     BufferPool pool(disk_, options.buffer_pages);
-    st = BfrjJoin(*rt, *stree, input, joiner.MatrixThreshold(), norm,
+    st = BfrjJoin(*rt, *stree, input, joiner.MatrixThreshold(), Kind::kNorm,
                   options.page_size_bytes, disk_, &pool, sink, &ops);
   } else {
     OpCounters* build_ops =
@@ -377,11 +374,11 @@ Result<JoinReport> JoinDriver::RunSequence(const char* caller, const Store& r,
       const auto [rt, stree] = page_trees();
       matrix = BuildPredictionMatrixHierarchical(
           *rt, *stree, input.r_pages, input.s_pages, joiner.MatrixThreshold(),
-          norm, options.filter_iterations, build_ops);
+          Kind::kNorm, options.filter_iterations, build_ops);
     } else {
       matrix = BuildPredictionMatrixFlat(r.page_mbrs(), s.page_mbrs(),
-                                         joiner.MatrixThreshold(), norm,
-                                         build_ops);
+                                         joiner.MatrixThreshold(),
+                                         Kind::kNorm, build_ops);
     }
     report.marked_entries = matrix->MarkedCount();
     report.matrix_rows = matrix->rows();
@@ -402,9 +399,7 @@ Result<JoinReport> JoinDriver::RunTimeSeries(const TimeSeriesStore& r,
                                              double eps,
                                              const JoinOptions& options,
                                              PairSink* sink) {
-  return RunSequence<TimeSeriesPairJoiner>("RunTimeSeries", r, s, eps,
-                                           Norm::kL2, EgoJoinTimeSeries,
-                                           options, sink);
+  return RunSequence<SeriesKind>("RunTimeSeries", r, s, eps, options, sink);
 }
 
 Result<JoinReport> JoinDriver::RunString(const StringSequenceStore& r,
@@ -412,9 +407,8 @@ Result<JoinReport> JoinDriver::RunString(const StringSequenceStore& r,
                                          uint32_t max_edits,
                                          const JoinOptions& options,
                                          PairSink* sink) {
-  return RunSequence<StringPairJoiner>("RunString", r, s, max_edits,
-                                       Norm::kL1, EgoJoinStrings, options,
-                                       sink);
+  return RunSequence<StringKind>("RunString", r, s, max_edits, options,
+                                 sink);
 }
 
 }  // namespace pmjoin

@@ -182,10 +182,10 @@ class JoinDriver {
   /// twice for a per-row self join, which skips only the identity pair).
   /// Pairs reach `sink` r-ascending, then (distance, id)-ascending within
   /// a row — byte-identical to ReferenceKnnJoin. Consumes
-  /// options.buffer_pages / num_threads / norm; options.algorithm is
-  /// ignored (the report says kKnn). `resources` may supply a shared
-  /// buffer pool and/or a memoized kNN candidate matrix (see
-  /// JoinResources).
+  /// options.buffer_pages / norm and runs on the calling thread;
+  /// options.algorithm and num_threads are ignored (the report says
+  /// kKnn). `resources` may supply a shared buffer pool and/or a memoized
+  /// kNN candidate matrix (see JoinResources).
   Result<JoinReport> RunKnnJoin(const VectorDataset& r,
                                 const VectorDataset& s, uint32_t k,
                                 const JoinOptions& options, PairSink* sink,
@@ -212,14 +212,13 @@ class JoinDriver {
   const RStarTree* SequencePageTree(const void* store_key,
                                     const std::vector<Mbr>& page_mbrs);
 
-  /// The body of RunTimeSeries and RunString. `Joiner` joins page pairs of
-  /// `Store` under `threshold`, `norm` is the norm of the page summaries
-  /// the matrix and BFRJ test, `ego` is the store type's EGO entry point,
-  /// and `caller` prefixes argument errors.
-  template <typename Joiner, typename Store, typename Threshold, typename Ego>
-  Result<JoinReport> RunSequence(const char* caller, const Store& r,
-                                 const Store& s, Threshold threshold,
-                                 Norm norm, Ego ego,
+  /// The body of RunTimeSeries and RunString; `caller` prefixes argument
+  /// errors.
+  template <typename Kind>
+  Result<JoinReport> RunSequence(const char* caller,
+                                 const SequenceStore<Kind>& r,
+                                 const SequenceStore<Kind>& s,
+                                 typename Kind::Threshold threshold,
                                  const JoinOptions& options, PairSink* sink);
 
   /// `report` with the I/O since `io_before`, the counters `ops` and their

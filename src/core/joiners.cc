@@ -6,8 +6,6 @@
 
 #include "common/check.h"
 #include "geom/distance_kernels.h"
-#include "seq/paa.h"
-#include "seq/window_join.h"
 
 namespace pmjoin {
 
@@ -107,31 +105,34 @@ void VectorPairJoiner::ChargeScanned(uint32_t r_page, uint32_t s_page,
                          s_->PageRecordCount(s_page) * r_->dims();
 }
 
-TimeSeriesPairJoiner::TimeSeriesPairJoiner(const TimeSeriesStore* r,
-                                           const TimeSeriesStore* s,
-                                           double eps, bool self_join)
-    : r_(r), s_(s), eps_(eps), self_join_(self_join) {
+template <typename Kind>
+SequencePairJoiner<Kind>::SequencePairJoiner(const SequenceStore<Kind>* r,
+                                             const SequenceStore<Kind>* s,
+                                             typename Kind::Threshold threshold,
+                                             bool self_join)
+    : r_(r), s_(s), threshold_(threshold), self_join_(self_join) {
   assert(!self_join || r == s);
   assert(r->layout().window_len == s->layout().window_len);
+  assert(r->feature_dims() == s->feature_dims());
 }
 
-double TimeSeriesPairJoiner::MatrixThreshold() const {
-  return eps_ / PaaScale(r_->layout().window_len, r_->paa_dims());
+template <typename Kind>
+double SequencePairJoiner<Kind>::MatrixThreshold() const {
+  return threshold_ /
+         Kind::FeatureScale(r_->layout().window_len, r_->feature_dims());
 }
 
-void TimeSeriesPairJoiner::JoinPages(uint32_t r_page, uint32_t s_page,
-                                     PairSink* sink, OpCounters* ops) {
-  // Multi-resolution pruning (MR-index): compare the pages' sub-box
-  // summaries and run the window kernel only on sub-range pairs the
+template <typename Kind>
+void SequencePairJoiner<Kind>::JoinPages(uint32_t r_page, uint32_t s_page,
+                                         PairSink* sink, OpCounters* ops) {
+  // Multi-resolution pruning (MR-/MRS-index): compare the pages' sub-box
+  // summaries and run the window kernel only on window-range pairs the
   // feature-space lower bound cannot dismiss. An unmarked page pair never
   // expands any sub-pair (sub-box MINDIST >= page MINDIST), so
   // ChargeScanned's grid-only cost is exact for resultless pairs.
   const SequenceLayout& rl = r_->layout();
   const SequenceLayout& sl = s_->layout();
   const double threshold = MatrixThreshold();
-  // L2 filters compare squared MINDIST against the squared threshold —
-  // no sqrt per MBR test on this hot path.
-  const double threshold_sq = threshold * threshold;
   WindowJoinOptions options;
   options.window_len = rl.window_len;
   options.self_join = self_join_;
@@ -143,74 +144,7 @@ void TimeSeriesPairJoiner::JoinPages(uint32_t r_page, uint32_t s_page,
     const Mbr& coarse_a = r_->CoarseBoxMbr(r_page, ca);
     for (uint32_t cb = 0; cb < ncb; ++cb) {
       if (ops != nullptr) ++ops->mbr_tests;
-      if (coarse_a.MinDistSquared(s_->CoarseBoxMbr(s_page, cb)) >
-          threshold_sq)
-        continue;
-      uint32_t a_lo, a_hi, b_lo, b_hi;
-      rl.CoarseToFine(r_page, ca, &a_lo, &a_hi);
-      sl.CoarseToFine(s_page, cb, &b_lo, &b_hi);
-      for (uint32_t a = a_lo; a < a_hi; ++a) {
-        const Mbr& box_a = r_->SubBoxMbr(r_page, a);
-        for (uint32_t b = b_lo; b < b_hi; ++b) {
-          if (ops != nullptr) ++ops->mbr_tests;
-          if (box_a.MinDistSquared(s_->SubBoxMbr(s_page, b)) >
-              threshold_sq)
-            continue;
-          WindowRange xr{rl.SubBoxFirstWindow(r_page, a),
-                         rl.SubBoxWindowCount(r_page, a)};
-          WindowRange yr{sl.SubBoxFirstWindow(s_page, b),
-                         sl.SubBoxWindowCount(s_page, b)};
-          JoinTimeSeriesWindows(r_->values(), s_->values(), xr, yr,
-                                options, eps_, sink, ops);
-        }
-      }
-    }
-  }
-}
-
-void TimeSeriesPairJoiner::ChargeScanned(uint32_t r_page, uint32_t s_page,
-                                         OpCounters* ops) const {
-  if (ops == nullptr) return;
-  // Record-level diagonal scan: one O(L) tracker init per diagonal, one
-  // O(1) update per window pair.
-  const uint64_t nx = r_->layout().WindowCount(r_page);
-  const uint64_t ny = s_->layout().WindowCount(s_page);
-  if (nx == 0 || ny == 0) return;
-  const uint64_t diagonals = nx + ny - 1;
-  ops->distance_terms += diagonals * r_->layout().window_len;
-  ops->filter_checks += nx * ny - diagonals;
-}
-
-StringPairJoiner::StringPairJoiner(const StringSequenceStore* r,
-                                   const StringSequenceStore* s,
-                                   uint32_t max_edits, bool self_join)
-    : r_(r), s_(s), max_edits_(max_edits), self_join_(self_join) {
-  assert(!self_join || r == s);
-  assert(r->layout().window_len == s->layout().window_len);
-  assert(r->alphabet_size() == s->alphabet_size());
-}
-
-void StringPairJoiner::JoinPages(uint32_t r_page, uint32_t s_page,
-                                 PairSink* sink, OpCounters* ops) {
-  // Multi-resolution pruning (MRS-index): sub-box frequency MBRs dismiss
-  // window-range pairs whose frequency distance provably exceeds the edit
-  // threshold; only surviving sub-pairs run the sliding FD filter + banded
-  // DP verification. An unmarked page pair never expands any sub-pair.
-  const SequenceLayout& rl = r_->layout();
-  const SequenceLayout& sl = s_->layout();
-  const double threshold = MatrixThreshold();  // 2k under L1.
-  WindowJoinOptions options;
-  options.window_len = rl.window_len;
-  options.self_join = self_join_;
-  // Coarse level first, descending to the fine grid only inside
-  // surviving coarse pairs.
-  const uint32_t nca = rl.CoarseBoxCount(r_page);
-  const uint32_t ncb = sl.CoarseBoxCount(s_page);
-  for (uint32_t ca = 0; ca < nca; ++ca) {
-    const Mbr& coarse_a = r_->CoarseBoxMbr(r_page, ca);
-    for (uint32_t cb = 0; cb < ncb; ++cb) {
-      if (ops != nullptr) ++ops->mbr_tests;
-      if (!coarse_a.MinDistWithin(s_->CoarseBoxMbr(s_page, cb), Norm::kL1,
+      if (!coarse_a.MinDistWithin(s_->CoarseBoxMbr(s_page, cb), Kind::kNorm,
                                   threshold))
         continue;
       uint32_t a_lo, a_hi, b_lo, b_hi;
@@ -220,33 +154,37 @@ void StringPairJoiner::JoinPages(uint32_t r_page, uint32_t s_page,
         const Mbr& box_a = r_->SubBoxMbr(r_page, a);
         for (uint32_t b = b_lo; b < b_hi; ++b) {
           if (ops != nullptr) ++ops->mbr_tests;
-          if (!box_a.MinDistWithin(s_->SubBoxMbr(s_page, b), Norm::kL1,
+          if (!box_a.MinDistWithin(s_->SubBoxMbr(s_page, b), Kind::kNorm,
                                    threshold))
             continue;
           WindowRange xr{rl.SubBoxFirstWindow(r_page, a),
                          rl.SubBoxWindowCount(r_page, a)};
           WindowRange yr{sl.SubBoxFirstWindow(s_page, b),
                          sl.SubBoxWindowCount(s_page, b)};
-          JoinStringWindows(r_->symbols(), s_->symbols(), xr, yr, options,
-                            max_edits_, r_->alphabet_size(), sink, ops);
+          Kind::JoinWindows(r_->symbols(), s_->symbols(), xr, yr, options,
+                            threshold_, r_->feature_dims(), sink, ops);
         }
       }
     }
   }
 }
 
-void StringPairJoiner::ChargeScanned(uint32_t r_page, uint32_t s_page,
-                                     OpCounters* ops) const {
+template <typename Kind>
+void SequencePairJoiner<Kind>::ChargeScanned(uint32_t r_page, uint32_t s_page,
+                                             OpCounters* ops) const {
   if (ops == nullptr) return;
-  // Record-level diagonal scan: one O(L) frequency-tracker init per
-  // diagonal, one O(1) update per window pair. Verification (banded DP)
-  // is excluded — the caller adds the actual edit cells when it executes.
+  // Record-level diagonal scan: one O(L) tracker start per diagonal, one
+  // O(1) update per window pair. Verification (the strings' banded DP) is
+  // excluded — the caller adds the actual edit cells when it executes.
   const uint64_t nx = r_->layout().WindowCount(r_page);
   const uint64_t ny = s_->layout().WindowCount(s_page);
   if (nx == 0 || ny == 0) return;
   const uint64_t diagonals = nx + ny - 1;
-  ops->filter_checks += diagonals * r_->layout().window_len;
+  ops->*Kind::kDiagonalStart += diagonals * r_->layout().window_len;
   ops->filter_checks += nx * ny - diagonals;
 }
+
+template class SequencePairJoiner<StringKind>;
+template class SequencePairJoiner<SeriesKind>;
 
 }  // namespace pmjoin

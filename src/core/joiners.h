@@ -87,53 +87,36 @@ class VectorPairJoiner : public PagePairJoiner {
   bool self_join_;
 };
 
-/// Subsequence ε-join of two time series (L2 on length-L windows). Emits
-/// (window_start_r, window_start_s); self joins emit each unordered,
-/// non-overlapping pair once (r + L <= s).
-class TimeSeriesPairJoiner : public PagePairJoiner {
+/// Subsequence join of two sequence stores of one kind (paper §3): emits
+/// (window_start_r, window_start_s) for window pairs within the threshold
+/// — edit distance <= k for strings, L2 <= ε on length-L windows for time
+/// series. Self joins emit each unordered, non-overlapping pair once
+/// (r + L <= s).
+template <typename Kind>
+class SequencePairJoiner : public PagePairJoiner {
  public:
-  TimeSeriesPairJoiner(const TimeSeriesStore* r, const TimeSeriesStore* s,
-                       double eps, bool self_join);
+  SequencePairJoiner(const SequenceStore<Kind>* r, const SequenceStore<Kind>* s,
+                     typename Kind::Threshold threshold, bool self_join);
 
   void JoinPages(uint32_t r_page, uint32_t s_page, PairSink* sink,
                  OpCounters* ops) override;
   void ChargeScanned(uint32_t r_page, uint32_t s_page,
                      OpCounters* ops) const override;
 
-  /// Threshold in PAA feature space: ε / sqrt(L/f) (see seq/paa.h).
+  /// The page-level threshold in feature space, under Kind::kNorm: the
+  /// threshold over Kind::FeatureScale — 2k for strings (ED >= L1/2, see
+  /// seq/frequency_vector.h), ε / sqrt(L/f) for series (seq/paa.h).
   double MatrixThreshold() const;
 
  private:
-  const TimeSeriesStore* r_;
-  const TimeSeriesStore* s_;
-  double eps_;
+  const SequenceStore<Kind>* r_;
+  const SequenceStore<Kind>* s_;
+  typename Kind::Threshold threshold_;
   bool self_join_;
 };
 
-/// Subsequence edit-distance join of two strings (ED <= max_edits on
-/// length-L windows). Self joins emit each unordered, non-overlapping pair
-/// once.
-class StringPairJoiner : public PagePairJoiner {
- public:
-  StringPairJoiner(const StringSequenceStore* r,
-                   const StringSequenceStore* s, uint32_t max_edits,
-                   bool self_join);
-
-  void JoinPages(uint32_t r_page, uint32_t s_page, PairSink* sink,
-                 OpCounters* ops) override;
-  void ChargeScanned(uint32_t r_page, uint32_t s_page,
-                     OpCounters* ops) const override;
-
-  /// Threshold in frequency space under L1: 2·max_edits (since
-  /// ED >= L1/2; see seq/frequency_vector.h).
-  double MatrixThreshold() const { return 2.0 * max_edits_; }
-
- private:
-  const StringSequenceStore* r_;
-  const StringSequenceStore* s_;
-  uint32_t max_edits_;
-  bool self_join_;
-};
+using StringPairJoiner = SequencePairJoiner<StringKind>;
+using TimeSeriesPairJoiner = SequencePairJoiner<SeriesKind>;
 
 }  // namespace pmjoin
 

@@ -116,8 +116,7 @@ Status KnnCandidateMatrix::ValidateInvariants() const {
 Status KnnJoinVectors(const VectorDataset& r, const VectorDataset& s,
                       const KnnCandidateMatrix& matrix,
                       const KnnJoinOptions& options, BufferPool* pool,
-                      KnnResultSink* results, OpCounters* ops,
-                      ThreadPool* thread_pool) {
+                      KnnResultSink* results, OpCounters* ops) {
   if (options.k == 0) return Status::InvalidArgument("kNN join needs k >= 1");
   if (r.dims() != s.dims())
     return Status::InvalidArgument("kNN join inputs disagree on dims");
@@ -129,12 +128,8 @@ Status KnnJoinVectors(const VectorDataset& r, const VectorDataset& s,
   const size_t dims = r.dims();
   const Norm norm = options.norm;
   const bool prune = options.prune;
-  uint32_t workers = 1;
-  if (thread_pool != nullptr && options.num_threads > 1)
-    workers = std::min(options.num_threads, thread_pool->size());
-  // Per-worker kernel output buffers, sized to the widest S page.
-  std::vector<std::vector<double>> scratch(workers);
-  for (std::vector<double>& buf : scratch) buf.resize(s.records_per_page());
+  // Kernel output buffer, sized to the widest S page.
+  std::vector<double> stats(s.records_per_page());
 
   for (uint32_t rp = 0; rp < r.num_pages(); ++rp) {
     const PageId rpid{r.file_id(), rp};
@@ -162,42 +157,19 @@ Status KnnJoinVectors(const VectorDataset& r, const VectorDataset& s,
       }
       const uint32_t ns = s.PageRecordCount(cand.s_page);
       const kernels::BlockView s_block = s.PageBlock(cand.s_page);
-      // One contiguous record chunk per worker: every heap is touched by
-      // exactly one thread (no locks), and the retained k smallest keys
-      // are unique regardless of chunking, so parallel == serial.
-      auto join_chunk = [&](uint32_t begin, uint32_t end, double* stats) {
-        for (uint32_t slot = begin; slot < end; ++slot) {
-          const uint64_t rid = r.OriginalId(rp, slot);
-          const double bound = results->BoundStat(rid);
-          if (prune && cand.bound_stat > bound) continue;
-          const float* query = r.Record(rp, slot).data();
-          kernels::KnnCandidateBlock(query, s_block, dims, norm, bound,
-                                     stats);
-          for (uint32_t j = 0; j < ns; ++j) {
-            if (std::isinf(stats[j])) continue;
-            const uint64_t sid = s.OriginalId(cand.s_page, j);
-            if (options.self_join && sid == rid) continue;
-            results->Offer(rid, stats[j], sid);
-          }
+      for (uint32_t slot = 0; slot < nr; ++slot) {
+        const uint64_t rid = r.OriginalId(rp, slot);
+        const double bound = results->BoundStat(rid);
+        if (prune && cand.bound_stat > bound) continue;
+        const float* query = r.Record(rp, slot).data();
+        kernels::KnnCandidateBlock(query, s_block, dims, norm, bound,
+                                   stats.data());
+        for (uint32_t j = 0; j < ns; ++j) {
+          if (std::isinf(stats[j])) continue;
+          const uint64_t sid = s.OriginalId(cand.s_page, j);
+          if (options.self_join && sid == rid) continue;
+          results->Offer(rid, stats[j], sid);
         }
-      };
-      const uint32_t active = std::min(workers, nr);
-      if (active <= 1) {
-        join_chunk(0, nr, scratch[0].data());
-      } else {
-        WaitGroup wg;
-        wg.Add(active);
-        const uint32_t chunk = (nr + active - 1) / active;
-        for (uint32_t t = 0; t < active; ++t) {
-          const uint32_t begin = t * chunk;
-          const uint32_t end = std::min(nr, begin + chunk);
-          double* stats = scratch[t].data();
-          thread_pool->Submit([&join_chunk, &wg, begin, end, stats] {
-            join_chunk(begin, end, stats);
-            wg.Done();
-          });
-        }
-        wg.Wait();
       }
       // Deterministic CPU charge: the full record-pair evaluation cost,
       // independent of per-record skips and kernel early abandoning

@@ -8,7 +8,6 @@
 #include "common/op_counters.h"
 #include "common/pair_sink.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "data/vector_dataset.h"
 #include "geom/distance.h"
 #include "geom/mbr.h"
@@ -32,7 +31,7 @@ namespace pmjoin {
 /// Determinism: neighbor sets are ordered by the exact double statistic
 /// (DistanceStat) with an (statistic, id) tie-break, so the selected k are
 /// the unique k smallest keys of the candidate multiset — independent of
-/// expansion order, thread count, and the float filter (which only drops
+/// expansion order and the float filter (which only drops
 /// rows provably beyond the bound). Results are byte-identical to
 /// ReferenceKnnJoin.
 
@@ -48,22 +47,13 @@ struct KnnJoinOptions {
   /// brute-force I/O baseline the bench and the pruning tests compare
   /// against. Answers are identical either way.
   bool prune = true;
-  /// Worker threads for the in-page kernel work (records of the R page are
-  /// split into contiguous chunks). All buffer-pool access stays on the
-  /// calling thread and every pruning decision is made at a page-pair
-  /// barrier, so modeled IoStats and OpCounters are byte-identical to the
-  /// serial run — the executor's serial-equivalence gate, upheld here.
-  uint32_t num_threads = 1;
 };
 
 /// Per-row bounded neighbor heaps — the kNN analogue of PairSink.
 ///
 /// Each R record owns a max-heap of at most k (statistic, s_id) entries
 /// ordered lexicographically, so the k-th bound is the heap top and ties
-/// at the k-th distance resolve to the smaller id. Rows are independent:
-/// workers handed disjoint record ranges may Offer concurrently with no
-/// locks, the same contiguous-chunk sharding discipline as
-/// ShardedPairSink.
+/// at the k-th distance resolve to the smaller id.
 class KnnResultSink {
  public:
   struct Neighbor {
@@ -144,14 +134,12 @@ class KnnCandidateMatrix {
 /// `pool` (both datasets must live on its backend); `ops` is charged the
 /// deterministic CPU cost — `dims` distance terms per record pair of every
 /// expanded page pair (early abandoning changes wall time, never the
-/// charge) plus one filter check per candidate page considered. Pass a
-/// `thread_pool` to parallelize kernel work per KnnJoinOptions::num_threads;
-/// results and all counters are byte-identical to the serial run.
+/// charge) plus one filter check per candidate page considered. Runs on
+/// the calling thread.
 Status KnnJoinVectors(const VectorDataset& r, const VectorDataset& s,
                       const KnnCandidateMatrix& matrix,
                       const KnnJoinOptions& options, BufferPool* pool,
-                      KnnResultSink* results, OpCounters* ops,
-                      ThreadPool* thread_pool = nullptr);
+                      KnnResultSink* results, OpCounters* ops);
 
 }  // namespace pmjoin
 

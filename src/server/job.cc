@@ -127,7 +127,8 @@ std::string Lower(std::string text) {
   return text;
 }
 
-/// Non-negative integer segment of a dataset spec.
+}  // namespace
+
 Status ParseUint(const std::string& text, uint64_t* out) {
   if (text.empty()) return Status::InvalidArgument("empty number");
   uint64_t value = 0;
@@ -142,8 +143,6 @@ Status ParseUint(const std::string& text, uint64_t* out) {
   *out = value;
   return Status::OK();
 }
-
-}  // namespace
 
 Result<DatasetSpec> DatasetSpec::Parse(const std::string& text) {
   std::vector<std::string> parts;

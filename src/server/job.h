@@ -50,6 +50,11 @@ struct DatasetSpec {
   VectorData Generate() const;
 };
 
+/// Parses a non-negative decimal integer: digits only (no sign, space or
+/// suffix), at most UINT64_MAX. Dataset-spec segments and the numeric
+/// flags of pmjoin_cli and pmjoin_server use it.
+Status ParseUint(const std::string& text, uint64_t* out);
+
 /// One parsed `submit` line. Unset optional knobs are 0 and resolved to
 /// the server defaults at admission.
 struct JobSpec {

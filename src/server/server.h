@@ -28,7 +28,7 @@ namespace server {
 ///
 /// Topology: N submitter threads → AdmissionController → bounded
 /// QueryQueue → one worker thread → JoinDriver. Concurrency lives at the
-/// submission edge; execution is deliberately serial — each query may
+/// submission edge; execution is deliberately serial — an ε-join may
 /// still parallelize internally via JoinOptions::num_threads, and serial
 /// execution is what keeps the shared buffer pool, the artifact cache,
 /// and the per-query obs sessions (which are single-session by design)

@@ -38,7 +38,6 @@
 //   } | pmjoin_server --pool=128 --report=server.json
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -54,6 +53,7 @@
 #include "server/job.h"
 #include "server/server.h"
 #include "server/server_report.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -76,15 +76,6 @@ struct CliArgs {
   bool no_backpressure = false;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 std::optional<CliArgs> Parse(int argc, char** argv) {
   CliArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -96,19 +87,19 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--data-dir", &value)) {
       args.data_dir = value;
     } else if (ParseFlag(argv[i], "--pool", &value)) {
-      args.pool = std::atoi(value.c_str());
+      if (!ParseCount(argv[i], value, &args.pool)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--buffer", &value)) {
-      args.buffer = std::atoi(value.c_str());
+      if (!ParseCount(argv[i], value, &args.buffer)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--queue", &value)) {
-      args.queue = std::atoi(value.c_str());
+      if (!ParseCount(argv[i], value, &args.queue)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--threads", &value)) {
-      args.threads = std::atoi(value.c_str());
+      if (!ParseCount(argv[i], value, &args.threads)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--page", &value)) {
-      args.page = std::atoi(value.c_str());
+      if (!ParseCount(argv[i], value, &args.page)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--norm", &value)) {
       args.norm = value;
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      args.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseCount(argv[i], value, &args.seed)) return std::nullopt;
     } else if (ParseFlag(argv[i], "--report", &value)) {
       args.report = value;
     } else if (ParseFlag(argv[i], "--query-reports", &value)) {

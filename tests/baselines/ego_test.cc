@@ -77,16 +77,16 @@ TEST(EgoTimeSeriesTest, MatchesReference) {
   const std::vector<float> x = GenRandomWalk(400, 17);
   const std::vector<float> y = GenRandomWalk(350, 18);
   const uint32_t L = 16, f = 4;
-  auto xs = TimeSeriesStore::Build(&disk, "x", x, L, f, 60 * sizeof(float));
-  auto ys = TimeSeriesStore::Build(&disk, "y", y, L, f, 60 * sizeof(float));
+  auto xs = TimeSeriesStore::Build(&disk, "x", x, f, L, 60 * sizeof(float));
+  auto ys = TimeSeriesStore::Build(&disk, "y", y, f, L, 60 * sizeof(float));
   ASSERT_TRUE(xs.ok());
   ASSERT_TRUE(ys.ok());
 
   const double eps = 2.0;
   BufferPool pool(&disk, 16);
   CollectingSink sink;
-  ASSERT_TRUE(EgoJoinTimeSeries(*xs, *ys, false, eps, &disk, &pool, &sink,
-                                nullptr)
+  ASSERT_TRUE(EgoJoinSequence(*xs, *ys, false, eps, &disk, &pool, &sink,
+                              nullptr)
                   .ok());
   CollectingSink ref;
   ReferenceTimeSeriesJoin(x, y, L, eps, false, &ref);
@@ -98,12 +98,12 @@ TEST(EgoTimeSeriesTest, SelfJoinMatchesReference) {
   SimulatedDisk disk;
   const std::vector<float> x = GenRandomWalk(500, 19);
   const uint32_t L = 16, f = 4;
-  auto xs = TimeSeriesStore::Build(&disk, "x", x, L, f, 60 * sizeof(float));
+  auto xs = TimeSeriesStore::Build(&disk, "x", x, f, L, 60 * sizeof(float));
   ASSERT_TRUE(xs.ok());
   BufferPool pool(&disk, 16);
   CollectingSink sink;
   ASSERT_TRUE(
-      EgoJoinTimeSeries(*xs, *xs, true, 1.0, &disk, &pool, &sink, nullptr)
+      EgoJoinSequence(*xs, *xs, true, 1.0, &disk, &pool, &sink, nullptr)
           .ok());
   CollectingSink ref;
   ReferenceTimeSeriesJoin(x, x, L, 1.0, true, &ref);
@@ -126,7 +126,7 @@ TEST(EgoStringTest, MatchesReference) {
   BufferPool pool(&disk, 16);
   CollectingSink sink;
   ASSERT_TRUE(
-      EgoJoinStrings(*as, *bs, false, k, &disk, &pool, &sink, nullptr)
+      EgoJoinSequence(*as, *bs, false, k, &disk, &pool, &sink, nullptr)
           .ok());
   CollectingSink ref;
   ReferenceStringJoin(a, b, L, k, false, &ref);
@@ -143,7 +143,7 @@ TEST(EgoStringTest, SelfJoinMatchesReference) {
   BufferPool pool(&disk, 16);
   CollectingSink sink;
   ASSERT_TRUE(
-      EgoJoinStrings(*as, *as, true, k, &disk, &pool, &sink, nullptr).ok());
+      EgoJoinSequence(*as, *as, true, k, &disk, &pool, &sink, nullptr).ok());
   CollectingSink ref;
   ReferenceStringJoin(a, a, L, k, true, &ref);
   EXPECT_EQ(sink.Sorted(), ref.Sorted());
@@ -160,11 +160,48 @@ TEST(EgoSequenceTest, MaterializationCostsExceedVectorEquivalent) {
   CountingSink sink;
   const IoStats before = disk.stats();
   ASSERT_TRUE(
-      EgoJoinStrings(*as, *as, true, 1, &disk, &pool, &sink, nullptr).ok());
+      EgoJoinSequence(*as, *as, true, 1, &disk, &pool, &sink, nullptr).ok());
   const IoStats delta = disk.stats().Delta(before);
   // Far more I/O than one scan of the store.
   EXPECT_GT(delta.pages_read + delta.pages_written,
             4u * as->layout().NumPages());
+}
+
+TEST(EgoSequenceTest, VerificationPinFailureIsReturned) {
+  // The sweep holds two frames and each verification pins two original
+  // pages: at B = 3 the join must fail with BufferFull (not drop the
+  // candidate) and release every pin; at B = 4 it is complete.
+  SimulatedDisk disk;
+  const std::vector<uint8_t> a = GenDnaSequence(600, 29, 0.5, 0.01);
+  const std::vector<float> x = GenRandomWalk(500, 19);
+  auto as = StringSequenceStore::Build(&disk, "a", a, 4, 12, 64);
+  auto xs = TimeSeriesStore::Build(&disk, "x", x, 4, 16, 60 * sizeof(float));
+  ASSERT_TRUE(as.ok());
+  ASSERT_TRUE(xs.ok());
+  CollectingSink dna_ref, walk_ref;
+  ReferenceStringJoin(a, a, 12, 1, true, &dna_ref);
+  ReferenceTimeSeriesJoin(x, x, 16, 1.0, true, &walk_ref);
+  ASSERT_GT(dna_ref.pairs().size(), 0u);
+  ASSERT_GT(walk_ref.pairs().size(), 0u);
+  for (const uint32_t buffer : {3u, 4u}) {
+    BufferPool pool(&disk, buffer);
+    CollectingSink dna, walk;
+    const Status dna_st =
+        EgoJoinSequence(*as, *as, true, 1, &disk, &pool, &dna, nullptr);
+    EXPECT_TRUE(pool.CheckQuiescent().ok());
+    const Status walk_st =
+        EgoJoinSequence(*xs, *xs, true, 1.0, &disk, &pool, &walk, nullptr);
+    EXPECT_TRUE(pool.CheckQuiescent().ok());
+    if (buffer == 3) {
+      EXPECT_TRUE(dna_st.IsBufferFull()) << dna_st.ToString();
+      EXPECT_TRUE(walk_st.IsBufferFull()) << walk_st.ToString();
+    } else {
+      ASSERT_TRUE(dna_st.ok()) << dna_st.ToString();
+      ASSERT_TRUE(walk_st.ok()) << walk_st.ToString();
+      EXPECT_EQ(dna.Sorted(), dna_ref.Sorted());
+      EXPECT_EQ(walk.Sorted(), walk_ref.Sorted());
+    }
+  }
 }
 
 }  // namespace

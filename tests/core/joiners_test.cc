@@ -52,8 +52,8 @@ TEST(TimeSeriesJoinerAccountingTest, ScanChargeIsFullDiagonalScan) {
   std::vector<float> y = GenRandomWalk(500, 4);
   for (float& v : y) v += 1e6f;  // No matches possible.
   const uint32_t L = 16, f = 4;
-  auto xs = TimeSeriesStore::Build(&disk, "x", x, L, f, 60 * sizeof(float));
-  auto ys = TimeSeriesStore::Build(&disk, "y", y, L, f, 60 * sizeof(float));
+  auto xs = TimeSeriesStore::Build(&disk, "x", x, f, L, 60 * sizeof(float));
+  auto ys = TimeSeriesStore::Build(&disk, "y", y, f, L, 60 * sizeof(float));
   ASSERT_TRUE(xs.ok());
   ASSERT_TRUE(ys.ok());
   TimeSeriesPairJoiner joiner(&*xs, &*ys, 0.5, false);
@@ -121,7 +121,7 @@ TEST(StringJoinerAccountingTest, ScanChargeIsFullDiagonalScan) {
 TEST(JoinerThresholdTest, MatrixThresholds) {
   SimulatedDisk disk;
   const std::vector<float> x = GenRandomWalk(300, 9);
-  auto ts = TimeSeriesStore::Build(&disk, "x", x, 16, 4,
+  auto ts = TimeSeriesStore::Build(&disk, "x", x, 4, 16,
                                    60 * sizeof(float));
   ASSERT_TRUE(ts.ok());
   TimeSeriesPairJoiner ts_joiner(&*ts, &*ts, 2.0, true);

@@ -200,6 +200,8 @@ TEST(KnnJoinPropertyTest, KAtLeastCardinalityReturnsAllPairs) {
 }
 
 TEST(KnnJoinPropertyTest, ParallelRunIsByteIdenticalToSerial) {
+  // kNN runs on the calling thread: JoinOptions::num_threads (the
+  // clustered executor's knob) must change nothing.
   auto disk = MakeTestBackend();
   JoinDriver driver(disk.get());
   const VectorData r_raw = GenCorrelatedClusters(300, 8, /*seed=*/21);

@@ -230,10 +230,10 @@ TEST(BackendRoundTripTest, TimeSeriesStoreSurvivesReopen) {
   std::vector<RunResult> fresh;
   {
     auto backend = OpenFileBackend(dir);
-    auto xs = TimeSeriesStore::Build(backend.get(), "x", x, 16, 4,
+    auto xs = TimeSeriesStore::Build(backend.get(), "x", x, 4, 16,
                                      60 * sizeof(float))
                   .value();
-    auto ys = TimeSeriesStore::Build(backend.get(), "y", y, 16, 4,
+    auto ys = TimeSeriesStore::Build(backend.get(), "y", y, 4, 16,
                                      60 * sizeof(float))
                   .value();
     fresh = sweep(backend.get(), xs, ys);
@@ -244,7 +244,7 @@ TEST(BackendRoundTripTest, TimeSeriesStoreSurvivesReopen) {
   auto backend = OpenFileBackend(dir);
   auto xs = TimeSeriesStore::Open(backend.get(), "x").value();
   auto ys = TimeSeriesStore::Open(backend.get(), "y").value();
-  EXPECT_EQ(xs.values().size(), x.size());
+  EXPECT_EQ(xs.symbols().size(), x.size());
   const std::vector<RunResult> reopened = sweep(backend.get(), xs, ys);
 
   ASSERT_EQ(fresh.size(), reopened.size());

@@ -126,7 +126,7 @@ TEST_P(TimeSeriesSweepTest, CoreTechniquesMatchReference) {
   if (window % paa != 0) GTEST_SKIP();
   SimulatedDisk disk;
   const std::vector<float> x = GenRandomWalk(350, 37);
-  auto store = TimeSeriesStore::Build(&disk, "x", x, window, paa,
+  auto store = TimeSeriesStore::Build(&disk, "x", x, paa, window,
                                       70 * sizeof(float));
   ASSERT_TRUE(store.ok());
 

@@ -99,10 +99,10 @@ class TimeSeriesDriverTest : public ::testing::TestWithParam<Algorithm> {
   TimeSeriesDriverTest() {
     x_ = GenRandomWalk(400, 17);
     y_ = GenRandomWalk(300, 18);
-    xs_.emplace(TimeSeriesStore::Build(&disk_, "x", x_, 16, 4,
+    xs_.emplace(TimeSeriesStore::Build(&disk_, "x", x_, 4, 16,
                                        60 * sizeof(float))
                     .value());
-    ys_.emplace(TimeSeriesStore::Build(&disk_, "y", y_, 16, 4,
+    ys_.emplace(TimeSeriesStore::Build(&disk_, "y", y_, 4, 16,
                                        60 * sizeof(float))
                     .value());
   }
@@ -233,7 +233,7 @@ TEST(JoinDriverTest, SequenceHierarchicalAndFlatMatricesAgree) {
 TEST(JoinDriverTest, TimeSeriesHierarchicalAndFlatMatricesAgree) {
   SimulatedDisk disk;
   const std::vector<float> x_vals = GenRandomWalk(600, 93);
-  auto store = TimeSeriesStore::Build(&disk, "x", x_vals, 16, 4,
+  auto store = TimeSeriesStore::Build(&disk, "x", x_vals, 4, 16,
                                       60 * sizeof(float));
   ASSERT_TRUE(store.ok());
   JoinDriver driver(&disk);

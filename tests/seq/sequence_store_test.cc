@@ -1,5 +1,8 @@
 #include "seq/sequence_store.h"
 
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +10,7 @@
 #include "common/rng.h"
 #include "geom/distance.h"
 #include "io/simulated_disk.h"
+#include "io/wire.h"
 #include "seq/edit_distance.h"
 #include "seq/frequency_vector.h"
 #include "seq/paa.h"
@@ -116,8 +120,8 @@ TEST(TimeSeriesStoreTest, BuildValidation) {
   SimulatedDisk disk;
   std::vector<float> series(100, 1.0f);
   EXPECT_FALSE(
-      TimeSeriesStore::Build(&disk, "t", series, 10, 3, 4096).ok());
-  EXPECT_FALSE(TimeSeriesStore::Build(&disk, "t", {1.0f, 2.0f}, 10, 2, 4096)
+      TimeSeriesStore::Build(&disk, "t", series, 3, 10, 4096).ok());
+  EXPECT_FALSE(TimeSeriesStore::Build(&disk, "t", {1.0f, 2.0f}, 2, 10, 4096)
                    .ok());
 }
 
@@ -127,7 +131,7 @@ TEST(TimeSeriesStoreTest, PageMbrCoversAllWindowFeatures) {
   auto series = RandomSeries(&rng, 300);
   const uint32_t L = 16, f = 4;
   auto store =
-      TimeSeriesStore::Build(&disk, "ts", series, L, f, 60 * sizeof(float));
+      TimeSeriesStore::Build(&disk, "ts", series, f, L, 60 * sizeof(float));
   ASSERT_TRUE(store.ok());
   const SequenceLayout& layout = store->layout();
   for (uint32_t p = 0; p < layout.NumPages(); ++p) {
@@ -151,7 +155,7 @@ TEST(TimeSeriesStoreTest, PageLowerBoundHolds) {
   auto series = RandomSeries(&rng, 200);
   const uint32_t L = 8, f = 4;
   auto store =
-      TimeSeriesStore::Build(&disk, "ts", series, L, f, 30 * sizeof(float));
+      TimeSeriesStore::Build(&disk, "ts", series, f, L, 30 * sizeof(float));
   ASSERT_TRUE(store.ok());
   const SequenceLayout& layout = store->layout();
   for (uint32_t p = 0; p < layout.NumPages(); ++p) {
@@ -177,7 +181,7 @@ TEST(TimeSeriesStoreTest, LastPageShortButCovered) {
   Rng rng(17);
   auto series = RandomSeries(&rng, 101);
   auto store =
-      TimeSeriesStore::Build(&disk, "ts", series, 8, 4, 40 * sizeof(float));
+      TimeSeriesStore::Build(&disk, "ts", series, 4, 8, 40 * sizeof(float));
   ASSERT_TRUE(store.ok());
   const SequenceLayout& layout = store->layout();
   uint64_t covered = 0;
@@ -257,7 +261,7 @@ TEST(TimeSeriesStoreTest, SubBoxMbrsCoverTheirWindows) {
   auto series = RandomSeries(&rng, 700);
   const uint32_t L = 16, f = 4;
   auto store =
-      TimeSeriesStore::Build(&disk, "ts", series, L, f, 90 * sizeof(float));
+      TimeSeriesStore::Build(&disk, "ts", series, f, L, 90 * sizeof(float));
   ASSERT_TRUE(store.ok());
   const SequenceLayout& layout = store->layout();
   for (uint32_t p = 0; p < layout.NumPages(); ++p) {
@@ -343,7 +347,7 @@ TEST(TimeSeriesStoreTest, CoarseBoxesContainTheirFineBoxes) {
   SimulatedDisk disk;
   Rng rng(53);
   auto series = RandomSeries(&rng, 1500);
-  auto store = TimeSeriesStore::Build(&disk, "ts", series, 16, 4,
+  auto store = TimeSeriesStore::Build(&disk, "ts", series, 4, 16,
                                       420 * sizeof(float));
   ASSERT_TRUE(store.ok());
   const SequenceLayout& layout = store->layout();
@@ -357,6 +361,179 @@ TEST(TimeSeriesStoreTest, CoarseBoxesContainTheirFineBoxes) {
       }
     }
   }
+}
+
+constexpr uint64_t kStringMagic = 0x31305351534A4D50ULL;  // "PMJSQS01"
+constexpr uint64_t kSeriesMagic = 0x31305451534A4D50ULL;  // "PMJSQT01"
+
+/// Expects page `page` of file `name` to hold `expected` followed by zero
+/// padding.
+void ExpectPageBytes(StorageBackend* disk, const std::string& name,
+                     uint32_t page, std::vector<uint8_t> expected) {
+  auto file = disk->FindFile(name);
+  ASSERT_TRUE(file.ok()) << name;
+  std::vector<uint8_t> bytes(disk->page_size_bytes());
+  ASSERT_TRUE(disk->ReadPagePayload({*file, page}, bytes).ok());
+  expected.resize(bytes.size(), 0);
+  EXPECT_EQ(bytes, expected) << name << " page " << page;
+}
+
+TEST(SequenceStoreFormatTest, SidecarAndFirstPageBytesArePinned) {
+  // The on-disk format, byte for byte: persisted stores must keep opening.
+  SimulatedDisk disk;
+  auto dna = StringSequenceStore::Build(
+      &disk, "dna", {0, 1, 2, 3, 3, 2, 1, 0, 1, 2}, /*alphabet=*/4,
+      /*window_len=*/3, /*page_size_bytes=*/6, /*sub_box_windows=*/2);
+  ASSERT_TRUE(dna.ok());
+  ASSERT_TRUE(dna->Persist(&disk).ok());
+  ExpectPageBytes(&disk, "dna.meta", 0,
+                  {'P', 'M', 'J', 'S', 'Q', 'S', '0', '1',  // magic
+                   4, 0, 0, 0,                              // alphabet
+                   3, 0, 0, 0,                              // L
+                   6, 0, 0, 0,                              // page bytes
+                   2, 0, 0, 0,                              // T
+                   10, 0, 0, 0, 0, 0, 0, 0});               // symbols
+  ExpectPageBytes(&disk, "dna", 0, {0, 1, 2, 3, 3, 2});
+
+  // 30-byte pages hold 7 floats; the sidecar records the 28 used.
+  auto walk = TimeSeriesStore::Build(
+      &disk, "walk",
+      {0.5f, -1.0f, 2.25f, 4.0f, -0.125f, 8.0f, 1.5f, 3.0f, 0.0f, -2.5f},
+      /*paa_dims=*/2, /*window_len=*/4, /*page_size_bytes=*/30,
+      /*sub_box_windows=*/3);
+  ASSERT_TRUE(walk.ok());
+  ASSERT_TRUE(walk->Persist(&disk).ok());
+  ExpectPageBytes(&disk, "walk.meta", 0,
+                  {'P', 'M', 'J', 'S', 'Q', 'T', '0', '1',  // magic
+                   2, 0, 0, 0,                              // f
+                   4, 0, 0, 0,                              // L
+                   28, 0, 0, 0,                             // page bytes
+                   3, 0, 0, 0,                              // T
+                   10, 0, 0, 0, 0, 0, 0, 0});               // values
+  ExpectPageBytes(&disk, "walk", 0,
+                  {0x00, 0x00, 0x00, 0x3F,    // 0.5
+                   0x00, 0x00, 0x80, 0xBF,    // -1
+                   0x00, 0x00, 0x10, 0x40,    // 2.25
+                   0x00, 0x00, 0x80, 0x40,    // 4
+                   0x00, 0x00, 0x00, 0xBE,    // -0.125
+                   0x00, 0x00, 0x00, 0x41,    // 8
+                   0x00, 0x00, 0xC0, 0x3F});  // 1.5
+}
+
+/// Replaces the `<name>.meta` sidecar with one in Persist's format holding
+/// the given header words, so Open sees a header Build never writes.
+void WriteSidecar(StorageBackend* disk, const std::string& name,
+                  uint64_t magic, uint32_t feature_dims, uint32_t window_len,
+                  uint32_t page_size_bytes, uint32_t sub_box_windows,
+                  uint64_t num_symbols) {
+  std::vector<uint8_t> meta;
+  wire::AppendU64(&meta, magic);
+  wire::AppendU32(&meta, feature_dims);
+  wire::AppendU32(&meta, window_len);
+  wire::AppendU32(&meta, page_size_bytes);
+  wire::AppendU32(&meta, sub_box_windows);
+  wire::AppendU64(&meta, num_symbols);
+  ASSERT_TRUE(WriteBlobFile(disk, name + ".meta", meta).ok());
+}
+
+template <typename Store>
+void ExpectCorruption(const Result<Store>& opened, const std::string& what) {
+  ASSERT_FALSE(opened.ok()) << what;
+  EXPECT_TRUE(opened.status().IsCorruption())
+      << what << ": " << opened.status().ToString();
+}
+
+TEST(SequenceStoreAuditTest, SubBoxWidthOutsideOneToTwoToThe30IsRejected) {
+  // 4·T is the coarse width in 32 bits: T = 2^30 wraps it to 0 (a
+  // division by zero), T = 2^30 + 1 to 4 with 0 fine boxes per coarse box
+  // (a join that silently finds nothing).
+  SimulatedDisk disk;
+  Rng rng(61);
+  const std::vector<uint8_t> symbols = RandomString(&rng, 5000, 4);
+  const std::vector<float> series = RandomSeries(&rng, 500);
+  auto dna = StringSequenceStore::Build(&disk, "dna", symbols, 4, 100, 1024);
+  ASSERT_TRUE(dna.ok());
+  ASSERT_TRUE(dna->Persist(&disk).ok());
+  for (const uint32_t t : {0u, 1u << 30, (1u << 30) + 1}) {
+    const std::string what = "T = " + std::to_string(t);
+    auto built =
+        StringSequenceStore::Build(&disk, "x", symbols, 4, 100, 1024, t);
+    ASSERT_FALSE(built.ok()) << what;
+    EXPECT_TRUE(built.status().IsInvalidArgument()) << what;
+    auto walk = TimeSeriesStore::Build(&disk, "y", series, 4, 16, 1024, t);
+    ASSERT_FALSE(walk.ok()) << what;
+    EXPECT_TRUE(walk.status().IsInvalidArgument()) << what;
+    WriteSidecar(&disk, "dna", kStringMagic, 4, 100, 1024, t, 5000);
+    ExpectCorruption(StringSequenceStore::Open(&disk, "dna"), what);
+  }
+  EXPECT_TRUE(StringSequenceStore::Build(&disk, "x", symbols, 4, 100, 1024,
+                                         (1u << 30) - 1)
+                  .ok());
+  WriteSidecar(&disk, "dna", kStringMagic, 4, 100, 1024, 64, 5000);
+  EXPECT_TRUE(StringSequenceStore::Open(&disk, "dna").ok());
+}
+
+TEST(SequenceStoreAuditTest, FeatureDimsBuildRejectsAreCorruption) {
+  SimulatedDisk disk;
+  Rng rng(67);
+  auto dna = StringSequenceStore::Build(&disk, "dna",
+                                        RandomString(&rng, 300, 4), 4, 8, 32);
+  auto walk = TimeSeriesStore::Build(&disk, "walk", RandomSeries(&rng, 300),
+                                     2, 8, 32 * sizeof(float));
+  ASSERT_TRUE(dna.ok());
+  ASSERT_TRUE(walk.ok());
+  ASSERT_TRUE(dna->Persist(&disk).ok());
+  ASSERT_TRUE(walk->Persist(&disk).ok());
+  for (const uint32_t alphabet : {0u, 257u}) {
+    WriteSidecar(&disk, "dna", kStringMagic, alphabet, 8, 32, 64, 300);
+    ExpectCorruption(StringSequenceStore::Open(&disk, "dna"),
+                     "alphabet " + std::to_string(alphabet));
+  }
+  for (const uint32_t f : {0u, 3u}) {  // f must divide L = 8.
+    WriteSidecar(&disk, "walk", kSeriesMagic, f, 8, 32 * sizeof(float), 64,
+                 300);
+    ExpectCorruption(TimeSeriesStore::Open(&disk, "walk"),
+                     "f = " + std::to_string(f));
+  }
+}
+
+TEST(SequenceStoreAuditTest, PageValuesBuildRejectsAreCorruption) {
+  SimulatedDisk disk;
+  Rng rng(71);
+  std::vector<float> series = RandomSeries(&rng, 4000);
+  auto walk = TimeSeriesStore::Build(&disk, "walk", series, 4, 16, 1024);
+  ASSERT_TRUE(walk.ok());
+  ASSERT_TRUE(walk->Persist(&disk).ok());
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    // Build: invalid input. One NaN would poison every later prefix sum
+    // and every sliding L2 tracker that crosses it.
+    std::vector<float> poisoned = series;
+    poisoned[100] = bad;
+    auto built = TimeSeriesStore::Build(&disk, "x", poisoned, 4, 16, 1024);
+    ASSERT_FALSE(built.ok()) << bad;
+    EXPECT_TRUE(built.status().IsInvalidArgument())
+        << built.status().ToString();
+
+    // Open: a persisted page that holds one is corrupt.
+    std::vector<uint8_t> page(256 * sizeof(float));
+    std::memcpy(page.data(), poisoned.data(), page.size());
+    ASSERT_TRUE(disk.WritePagePayload({walk->file_id(), 0}, page).ok());
+    ExpectCorruption(TimeSeriesStore::Open(&disk, "walk"),
+                     "value " + std::to_string(bad));
+  }
+
+  // A string page symbol outside the alphabet.
+  auto dna = StringSequenceStore::Build(&disk, "dna",
+                                        RandomString(&rng, 300, 4), 4, 8, 32);
+  ASSERT_TRUE(dna.ok());
+  ASSERT_TRUE(dna->Persist(&disk).ok());
+  std::vector<uint8_t> page(dna->symbols().begin(),
+                            dna->symbols().begin() + 32);
+  page[5] = 9;
+  ASSERT_TRUE(disk.WritePagePayload({dna->file_id(), 0}, page).ok());
+  ExpectCorruption(StringSequenceStore::Open(&disk, "dna"), "symbol 9");
 }
 
 }  // namespace

@@ -134,6 +134,14 @@ double CalibratePageEps(const VectorDataset& r, const VectorDataset& s,
       dists.size() - 1,
       static_cast<size_t>(target_selectivity *
                           static_cast<double>(dists.size())));
+  if (dists[idx] == 0.0) {
+    // More than the target share of the page pairs overlap, and every ε
+    // marks at least those. The smallest positive MINDIST marks one page
+    // pair more; an ε near 0 would join next to nothing.
+    const auto first_positive =
+        std::upper_bound(dists.begin(), dists.end(), 0.0);
+    if (first_positive != dists.end()) return *first_positive;
+  }
   return std::max(dists[idx], 1e-9);
 }
 

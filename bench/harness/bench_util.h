@@ -115,7 +115,9 @@ double CalibrateEps(const VectorData& r, const VectorData& s,
 /// Picks ε such that approximately `target_selectivity` of the prediction
 /// matrix is marked (page-pair MINDIST quantile over sampled page pairs).
 /// The paper quotes its experiments' "query selectivity" at this page
-/// level (e.g. ~10% for Fig. 10, ~2% for Fig. 11).
+/// level (e.g. ~10% for Fig. 10, ~2% for Fig. 11). When more than that
+/// share of the page pairs overlap (small `--quick` inputs), ε is the
+/// smallest positive sampled MINDIST.
 double CalibratePageEps(const VectorDataset& r, const VectorDataset& s,
                         double target_selectivity, Norm norm,
                         uint64_t seed, size_t samples = 200000);

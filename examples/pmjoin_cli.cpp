@@ -5,7 +5,7 @@
 //
 // Usage:
 //   pmjoin_cli [--data=road|clusters|uniform|dna|walk]
-//              [--algo=nlj|pm-nlj|rand-sc|sc|cc|ego|bfrj|pbsm]
+//              [--algo=nlj|pm-nlj|rand-sc|sc|cc|ego|bfrj]
 //              [--n=20000] [--dims=2] [--eps=0.01] [--k=0] [--edits=5]
 //              [--buffer=64] [--page=1024] [--window=500] [--self]
 //              [--seed=1] [--norm=l1|l2|linf]
@@ -36,6 +36,7 @@
 //   pmjoin_cli --data=walk --algo=pm-nlj --n=50000 --eps=1.5 --window=20
 //   pmjoin_cli --data=road --algo=cc --trace=trace.json --report=run.json
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -55,6 +56,7 @@
 #include "obs/span.h"
 #include "obs/trace_exporter.h"
 #include "seq/sequence_store.h"
+#include "server/job.h"
 #include "tools/flags.h"
 
 namespace {
@@ -144,6 +146,21 @@ std::optional<CliArgs> Parse(int argc, char** argv) {
                  "Pick one.\n");
     return std::nullopt;
   }
+  // The generators' allocation is bounded like a job line's dataset spec:
+  // a road point has 2 coordinates, a dna or walk record 1.
+  const bool dims_flag = args.data == "clusters" || args.data == "uniform";
+  uint64_t coords = args.data == "road" ? 2 : 1;
+  if (dims_flag) coords = std::max<uint64_t>(args.dims, 1);
+  if (args.n > server::DatasetSpec::kMaxCoordinates / coords) {
+    std::fprintf(stderr,
+                 "--n: number out of range: %zu records of %llu "
+                 "coordinates%s exceed the limit of %llu coordinates\n",
+                 args.n, static_cast<unsigned long long>(coords),
+                 dims_flag ? " (--dims)" : "",
+                 static_cast<unsigned long long>(
+                     server::DatasetSpec::kMaxCoordinates));
+    return std::nullopt;
+  }
   return args;
 }
 
@@ -155,7 +172,6 @@ std::optional<Algorithm> AlgoOf(const std::string& name) {
   if (name == "cc") return Algorithm::kCc;
   if (name == "ego") return Algorithm::kEgo;
   if (name == "bfrj") return Algorithm::kBfrj;
-  if (name == "pbsm") return Algorithm::kPbsm;
   return std::nullopt;
 }
 
@@ -406,7 +422,7 @@ int main(int argc, char** argv) {
   if (!args) {
     std::printf(
         "usage: pmjoin_cli [--data=road|clusters|uniform|dna|walk]\n"
-        "                  [--algo=nlj|pm-nlj|rand-sc|sc|cc|ego|bfrj|pbsm]\n"
+        "                  [--algo=nlj|pm-nlj|rand-sc|sc|cc|ego|bfrj]\n"
         "                  [--n=N] [--dims=D] [--eps=E] [--k=N] [--edits=K]\n"
         "                  [--buffer=B] [--page=BYTES] [--window=L]\n"
         "                  [--self] [--seed=S] [--norm=l1|l2|linf]\n"

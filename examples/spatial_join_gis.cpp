@@ -64,8 +64,8 @@ int main() {
               "io (s)", "total (s)", "result pairs");
   for (Algorithm algorithm :
        {Algorithm::kNlj, Algorithm::kPmNlj, Algorithm::kBfrj,
-        Algorithm::kEgo, Algorithm::kPbsm, Algorithm::kRandomSc,
-        Algorithm::kSc, Algorithm::kCc}) {
+        Algorithm::kEgo, Algorithm::kRandomSc, Algorithm::kSc,
+        Algorithm::kCc}) {
     JoinOptions options;
     options.algorithm = algorithm;
     options.buffer_pages = 32;

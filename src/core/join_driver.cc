@@ -10,7 +10,6 @@
 #include "baselines/bfrj.h"
 #include "baselines/block_nlj.h"
 #include "baselines/ego.h"
-#include "baselines/pbsm.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/cost_clustering.h"
@@ -44,8 +43,6 @@ std::string AlgorithmName(Algorithm algorithm) {
       return "EGO";
     case Algorithm::kBfrj:
       return "BFRJ";
-    case Algorithm::kPbsm:
-      return "PBSM";
     case Algorithm::kKnn:
       return "kNN";
   }
@@ -90,13 +87,22 @@ namespace {
 /// oracle only; see BlockNlj). `external_pool`, when non-null, replaces
 /// the private per-run pool so callers (the join server) can carry page
 /// residency across runs; it must have capacity >= options.buffer_pages.
-/// Sets `report->num_clusters` for the clustered engines.
+/// Sets the report's matrix fields, and `report->num_clusters` for the
+/// clustered engines.
 Status RunMatrixAlgorithm(const JoinInput& input,
                           const PredictionMatrix& matrix,
                           const JoinOptions& options, const DiskModel& model,
                           StorageBackend* disk, PairSink* sink,
                           OpCounters* ops, JoinReport* report,
                           BufferPool* external_pool) {
+  report->marked_entries = matrix.MarkedCount();
+  report->matrix_rows = matrix.rows();
+  report->matrix_cols = matrix.cols();
+  report->matrix_selectivity = matrix.Selectivity();
+  // Phase boundary (paranoid builds): whether freshly built or memoized,
+  // the matrix must be finalized and structurally sound before any
+  // operator consumes it.
+  PMJOIN_DCHECK_OK(matrix.ValidateInvariants());
   std::unique_ptr<BufferPool> owned;
   BufferPool* pool_ptr = external_pool;
   if (pool_ptr == nullptr) {
@@ -153,7 +159,6 @@ Status RunMatrixAlgorithm(const JoinInput& input,
     }
     case Algorithm::kEgo:
     case Algorithm::kBfrj:
-    case Algorithm::kPbsm:
       return Status::Internal("not a matrix algorithm");
     case Algorithm::kKnn:
       return Status::Internal("kNN is served by RunKnnJoin, not an ε-join");
@@ -216,11 +221,6 @@ Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
     BufferPool pool(disk_, options.buffer_pages);
     st = BfrjJoin(r.tree(), s.tree(), input, eps, options.norm,
                   options.page_size_bytes, disk_, &pool, sink, &ops);
-  } else if (options.algorithm == Algorithm::kPbsm) {
-    PMJOIN_SPAN_OPS("pbsm", &ops);
-    BufferPool pool(disk_, options.buffer_pages);
-    st = PbsmJoinVectors(r, s, self, eps, options.norm, disk_, &pool, sink,
-                         &ops);
   } else {
     // Oracle for NLJ is built uncharged; pm algorithms charge the build.
     OpCounters* build_ops =
@@ -228,13 +228,9 @@ Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
     std::optional<PredictionMatrix> built;
     const PredictionMatrix* matrix = resources.matrix;
     if (matrix == nullptr) {
-      built = options.hierarchical_matrix
-                  ? BuildPredictionMatrixHierarchical(
-                        r.tree(), s.tree(), r.num_pages(), s.num_pages(),
-                        eps, options.norm, options.filter_iterations,
-                        build_ops)
-                  : BuildPredictionMatrixFlat(r.page_mbrs(), s.page_mbrs(),
-                                              eps, options.norm, build_ops);
+      built = BuildPredictionMatrixHierarchical(
+          r.tree(), s.tree(), r.num_pages(), s.num_pages(), eps, options.norm,
+          options.filter_iterations, build_ops);
       matrix = &*built;
     } else if (build_ops != nullptr &&
                resources.matrix_build_ops != nullptr) {
@@ -243,14 +239,6 @@ Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
       // its oracle build is uncharged either way).
       *build_ops += *resources.matrix_build_ops;
     }
-    report.marked_entries = matrix->MarkedCount();
-    report.matrix_rows = matrix->rows();
-    report.matrix_cols = matrix->cols();
-    report.matrix_selectivity = matrix->Selectivity();
-    // Phase boundary (paranoid builds): whether freshly built or memoized,
-    // the matrix must be finalized and structurally sound before any
-    // operator consumes it.
-    PMJOIN_DCHECK_OK(matrix->ValidateInvariants());
     st = RunMatrixAlgorithm(input, *matrix, options, disk_->model(), disk_,
                             sink, &ops, &report, resources.shared_pool);
   }
@@ -329,10 +317,6 @@ Result<JoinReport> JoinDriver::RunSequence(const char* caller,
   if (r.layout().window_len != s.layout().window_len)
     return Status::InvalidArgument(std::string(caller) +
                                    ": window length mismatch");
-  if (options.algorithm == Algorithm::kPbsm)
-    return Status::Unimplemented(
-        "PBSM requires in-place partitioning; sequence data cannot be "
-        "reordered (paper 3)");
   const bool self = &r == &s;
   SequencePairJoiner<Kind> joiner(&r, &s, threshold, self);
   JoinInput input;
@@ -369,25 +353,11 @@ Result<JoinReport> JoinDriver::RunSequence(const char* caller,
   } else {
     OpCounters* build_ops =
         options.algorithm == Algorithm::kNlj ? nullptr : &ops;
-    std::optional<PredictionMatrix> matrix;
-    if (options.hierarchical_matrix) {
-      const auto [rt, stree] = page_trees();
-      matrix = BuildPredictionMatrixHierarchical(
-          *rt, *stree, input.r_pages, input.s_pages, joiner.MatrixThreshold(),
-          Kind::kNorm, options.filter_iterations, build_ops);
-    } else {
-      matrix = BuildPredictionMatrixFlat(r.page_mbrs(), s.page_mbrs(),
-                                         joiner.MatrixThreshold(),
-                                         Kind::kNorm, build_ops);
-    }
-    report.marked_entries = matrix->MarkedCount();
-    report.matrix_rows = matrix->rows();
-    report.matrix_cols = matrix->cols();
-    report.matrix_selectivity = matrix->Selectivity();
-    // Phase boundary (paranoid builds): the freshly built matrix must be
-    // finalized and structurally sound before any operator consumes it.
-    PMJOIN_DCHECK_OK(matrix->ValidateInvariants());
-    st = RunMatrixAlgorithm(input, *matrix, options, disk_->model(), disk_,
+    const auto [rt, stree] = page_trees();
+    const PredictionMatrix matrix = BuildPredictionMatrixHierarchical(
+        *rt, *stree, input.r_pages, input.s_pages, joiner.MatrixThreshold(),
+        Kind::kNorm, options.filter_iterations, build_ops);
+    st = RunMatrixAlgorithm(input, matrix, options, disk_->model(), disk_,
                             sink, &ops, &report, nullptr);
   }
   if (!st.ok()) return st;

@@ -30,15 +30,13 @@ enum class Algorithm {
   kCc,        ///< Cost-based clustering, scheduled (I/O lower bound).
   kEgo,       ///< Epsilon grid ordering (competitor).
   kBfrj,      ///< Breadth-first R-tree join (competitor).
-  kPbsm,      ///< Partition-based spatial merge (extra baseline; vector
-              ///< data only — sequences cannot be partitioned in place).
   kKnn,       ///< kNN join (adaptive-ε pruning; RunKnnJoin, vector data
               ///< only). Not an ε-join algorithm — never valid in
               ///< JoinOptions::algorithm.
 };
 
 /// Short display name ("NLJ", "pm-NLJ", "rand-SC", "SC", "CC", "EGO",
-/// "BFRJ", "PBSM", "kNN") as used in the paper's figures.
+/// "BFRJ", "kNN") as used in the paper's figures.
 std::string AlgorithmName(Algorithm algorithm);
 
 /// Knobs shared by all joins. Defaults reproduce the paper's setup.
@@ -50,10 +48,6 @@ struct JoinOptions {
 
   /// Norm for vector-data predicates (sequence joins fix their own).
   Norm norm = Norm::kL2;
-
-  /// Vector data: build the matrix hierarchically from the R-trees with
-  /// the Fig. 2 filter (true) or by a flat leaf sweep (false).
-  bool hierarchical_matrix = true;
 
   /// Fig. 2 filter iterations k (paper default 5).
   uint32_t filter_iterations = 5;

@@ -81,7 +81,7 @@ uint32_t KnnCandidateBlock(const float* query, const BlockView& block,
 
 /// One-vs-one predicate with the same decision bit as the scalar reference
 /// `WithinDistance` — the kernel-layer entry point for callers whose
-/// candidate rows are not contiguous (EGO's grid band, PBSM's buckets).
+/// candidate rows are not contiguous (EGO's grid band).
 /// `a` and `b` need only `dims` readable floats (no padding required).
 bool WithinOne(const float* a, const float* b, size_t dims, Norm norm,
                double eps);

@@ -79,26 +79,38 @@ Status WriteTextFile(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
-void RunReport::SetContext(const std::string& key, const std::string& value) {
+void ReportContext::SetContext(const std::string& key,
+                               const std::string& value) {
   context_.emplace_back(key, JsonEscape(value));
 }
 
-void RunReport::SetContext(const std::string& key, const char* value) {
+void ReportContext::SetContext(const std::string& key, const char* value) {
   context_.emplace_back(key, JsonEscape(value));
 }
 
-void RunReport::SetContext(const std::string& key, int64_t value) {
+void ReportContext::SetContext(const std::string& key, int64_t value) {
   context_.emplace_back(key, std::to_string(value));
 }
 
-void RunReport::SetContext(const std::string& key, uint64_t value) {
+void ReportContext::SetContext(const std::string& key, uint64_t value) {
   context_.emplace_back(key, std::to_string(value));
 }
 
-void RunReport::SetContext(const std::string& key, double value) {
+void ReportContext::SetContext(const std::string& key, double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   context_.emplace_back(key, buf);
+}
+
+void ReportContext::AppendContextJson(std::string* out) const {
+  *out += ",\"context\":{";
+  for (size_t i = 0; i < context_.size(); ++i) {
+    if (i != 0) *out += ',';
+    *out += JsonEscape(context_[i].first);
+    *out += ':';
+    *out += context_[i].second;
+  }
+  *out += '}';
 }
 
 void RunReport::AddRowJson(std::string json_object) {
@@ -173,15 +185,7 @@ void RunReport::CaptureSession(const std::vector<TraceEvent>& events) {
 std::string RunReport::ToJson() const {
   std::string out = "{\"schema\":";
   out += JsonEscape(kSchema);
-
-  out += ",\"context\":{";
-  for (size_t i = 0; i < context_.size(); ++i) {
-    if (i != 0) out += ',';
-    out += JsonEscape(context_[i].first);
-    out += ':';
-    out += context_[i].second;
-  }
-  out += '}';
+  AppendContextJson(&out);
 
   out += ",\"io_totals\":";
   AppendJsonIoStats(&out, io_totals_);

@@ -37,6 +37,25 @@ void AppendJsonOpCounters(std::string* out, const OpCounters& ops);
 // bytes flowing through StorageBackend, and report writers route here.
 Status WriteTextFile(const std::string& path, const std::string& content);
 
+// The "context" object of a report: caller-supplied rows in insertion
+// order. Keys must be unique; values are emitted as JSON strings/numbers.
+// RunReport and the server's aggregate report both carry one.
+class ReportContext {
+ public:
+  void SetContext(const std::string& key, const std::string& value);
+  void SetContext(const std::string& key, const char* value);
+  void SetContext(const std::string& key, int64_t value);
+  void SetContext(const std::string& key, uint64_t value);
+  void SetContext(const std::string& key, double value);
+
+ protected:
+  // Appends `,"context":{...}`.
+  void AppendContextJson(std::string* out) const;
+
+ private:
+  std::vector<std::pair<std::string, std::string>> context_;  // key, value
+};
+
 // One aggregated phase of a run report: every completed occurrence of the
 // same span path, folded together. `io` is the inclusive modeled-I/O delta
 // (what the span itself observed); `io_self` is the exclusive share — the
@@ -64,17 +83,9 @@ struct PhaseRow {
 // tools/run_report_schema.json documents the schema and
 // tools/validate_report.py checks it (including the exact-attribution
 // invariant above).
-class RunReport {
+class RunReport : public ReportContext {
  public:
   static constexpr const char* kSchema = "pmjoin.run_report.v1";
-
-  // Context rows appear under "context" in insertion order. Keys must be
-  // unique; values are emitted as JSON strings/numbers.
-  void SetContext(const std::string& key, const std::string& value);
-  void SetContext(const std::string& key, const char* value);
-  void SetContext(const std::string& key, int64_t value);
-  void SetContext(const std::string& key, uint64_t value);
-  void SetContext(const std::string& key, double value);
 
   // Appends one pre-serialized single-line JSON object to "rows" (the
   // bench harness's table records pass through here verbatim).
@@ -96,7 +107,6 @@ class RunReport {
   Status WriteFile(const std::string& path) const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> context_;  // key, value
   std::vector<std::string> rows_;
   std::vector<PhaseRow> phases_;
   std::vector<MetricsRegistry::MetricRow> metrics_;

@@ -73,7 +73,7 @@ struct JobSpec {
 
 /// Parses an engine token ("nlj", "pm-nlj", "rand-sc", "sc", "cc";
 /// case-insensitive). Only the matrix family is served — the competitor
-/// algorithms (ego/bfrj/pbsm) build private per-run structures that defeat
+/// algorithms (ego/bfrj) build private per-run structures that defeat
 /// the server's artifact sharing, so they are rejected here.
 Result<Algorithm> ParseEngine(const std::string& text);
 

@@ -174,7 +174,6 @@ void JoinServer::Execute(const QueuedQuery& queued) {
     join_options.algorithm = job.engine;
     join_options.buffer_pages = job.buffer_pages;
     join_options.norm = options_.norm;
-    join_options.hierarchical_matrix = options_.hierarchical_matrix;
     join_options.filter_iterations = options_.filter_iterations;
     join_options.seed = options_.seed;
     join_options.page_size_bytes = options_.page_size_bytes;
@@ -298,16 +297,7 @@ ServerReport JoinServer::BuildReport() {
 
   report.SetIoTotals(disk_->stats().Delta(server_start_io_));
 
-  const ArtifactCache::Stats cache_stats = cache_.stats();
-  ServerReport::CacheStats cache_row;
-  cache_row.dataset_hits = cache_stats.dataset_hits;
-  cache_row.dataset_opens = cache_stats.dataset_opens;
-  cache_row.dataset_builds = cache_stats.dataset_builds;
-  cache_row.matrix_hits = cache_stats.matrix_hits;
-  cache_row.matrix_builds = cache_stats.matrix_builds;
-  cache_row.knn_matrix_hits = cache_stats.knn_matrix_hits;
-  cache_row.knn_matrix_builds = cache_stats.knn_matrix_builds;
-  report.SetCacheStats(cache_row);
+  report.SetCacheStats(cache_.stats());
 
   ServerReport::AdmissionStats admission_row = admission_stats_;
   admission_row.max_queue_depth = queue_.MaxDepthSeen();

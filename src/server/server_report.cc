@@ -31,29 +31,6 @@ void AppendI64(std::string* out, const char* key, int64_t value) {
 
 }  // namespace
 
-void ServerReport::SetContext(const std::string& key,
-                              const std::string& value) {
-  context_.emplace_back(key, JsonEscape(value));
-}
-
-void ServerReport::SetContext(const std::string& key, const char* value) {
-  context_.emplace_back(key, JsonEscape(value));
-}
-
-void ServerReport::SetContext(const std::string& key, int64_t value) {
-  context_.emplace_back(key, std::to_string(value));
-}
-
-void ServerReport::SetContext(const std::string& key, uint64_t value) {
-  context_.emplace_back(key, std::to_string(value));
-}
-
-void ServerReport::SetContext(const std::string& key, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  context_.emplace_back(key, buf);
-}
-
 void ServerReport::AddQuery(QueryRow row) {
   if (row.executed) {
     const int64_t total_ns = row.queue_ns + row.exec_ns;
@@ -77,15 +54,7 @@ IoStats ServerReport::UnattributedIo() const {
 std::string ServerReport::ToJson() const {
   std::string out = "{\"schema\":";
   out += JsonEscape(kSchema);
-
-  out += ",\"context\":{";
-  for (size_t i = 0; i < context_.size(); ++i) {
-    if (i != 0) out += ',';
-    out += JsonEscape(context_[i].first);
-    out += ':';
-    out += context_[i].second;
-  }
-  out += '}';
+  AppendContextJson(&out);
 
   out += ",\"queries\":[";
   for (size_t i = 0; i < queries_.size(); ++i) {

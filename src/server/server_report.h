@@ -4,13 +4,13 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/op_counters.h"
 #include "common/status.h"
 #include "io/io_stats.h"
 #include "obs/run_report.h"
+#include "server/artifact_cache.h"
 
 namespace pmjoin {
 namespace server {
@@ -47,21 +47,13 @@ struct QueryRow {
 /// `pmjoin.server_report.v1` JSON — the multi-query sibling of
 /// obs::RunReport (tools/server_report_schema.json documents it;
 /// tools/validate_report.py checks both schema and ledger).
-class ServerReport {
+class ServerReport : public obs::ReportContext {
  public:
   static constexpr const char* kSchema = "pmjoin.server_report.v1";
   /// Latency buckets: bucket b counts queries whose end-to-end latency in
   /// microseconds has bit_width b (bucket 0 = sub-microsecond), matching
   /// the obs::Histogram convention.
   static constexpr uint32_t kLatencyBuckets = 65;
-
-  // Context rows appear under "context" in insertion order (same
-  // contract as obs::RunReport).
-  void SetContext(const std::string& key, const std::string& value);
-  void SetContext(const std::string& key, const char* value);
-  void SetContext(const std::string& key, int64_t value);
-  void SetContext(const std::string& key, uint64_t value);
-  void SetContext(const std::string& key, double value);
 
   /// Appends one query row and folds its end-to-end latency
   /// (queue_ns + exec_ns) into the histogram (executed rows only).
@@ -71,16 +63,7 @@ class ServerReport {
   /// unattributed_io is derived: totals minus the sum of row io.
   void SetIoTotals(const IoStats& totals);
 
-  struct CacheStats {
-    uint64_t dataset_hits = 0;
-    uint64_t dataset_opens = 0;
-    uint64_t dataset_builds = 0;
-    uint64_t matrix_hits = 0;
-    uint64_t matrix_builds = 0;
-    uint64_t knn_matrix_hits = 0;
-    uint64_t knn_matrix_builds = 0;
-  };
-  void SetCacheStats(const CacheStats& stats) { cache_ = stats; }
+  void SetCacheStats(const ArtifactCache::Stats& stats) { cache_ = stats; }
 
   struct AdmissionStats {
     uint64_t submitted = 0;  ///< All submission attempts.
@@ -100,11 +83,10 @@ class ServerReport {
   Status WriteFile(const std::string& path) const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> context_;  // key, value
   std::vector<QueryRow> queries_;
   IoStats io_totals_;
   std::array<uint64_t, kLatencyBuckets> latency_buckets_ = {};
-  CacheStats cache_;
+  ArtifactCache::Stats cache_;
   AdmissionStats admission_;
 };
 

@@ -111,6 +111,12 @@ TEST(CalibratePageEpsTest, HitsTargetSelectivity) {
     const double expected = std::max(target, floor);
     EXPECT_NEAR(matrix.Selectivity(), expected, expected * 0.5 + 0.02)
         << "target " << target << " floor " << floor;
+    // Below the floor, ε is the smallest positive page MINDIST: it marks
+    // the overlapping pairs and at least one more.
+    if (target < floor) {
+      EXPECT_GT(matrix.MarkedCount(), floor_matrix.MarkedCount())
+          << "target " << target;
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include "core/plane_sweep.h"
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,6 +43,14 @@ struct SweepCase {
   double threshold;
   Norm norm;
 };
+
+// Names each case by its fields. gtest's default printer would dump the
+// struct's bytes into the ctest name, padding included, so the names
+// would differ from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.nr << 'x' << c.ns << "_d" << c.dims << "_eps" << c.threshold
+      << '_' << NormName(c.norm);
+}
 
 class FlatSweepTest : public ::testing::TestWithParam<SweepCase> {};
 

@@ -1,6 +1,7 @@
 #include "core/square_clustering.h"
 
 #include <algorithm>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +62,13 @@ struct ScCase {
   double density;
   uint64_t seed;
 };
+
+// Names each case by its fields: the default byte dump would carry the
+// struct's padding into the ctest name.
+void PrintTo(const ScCase& c, std::ostream* os) {
+  *os << c.rows << 'x' << c.cols << "_B" << c.buffer << "_density"
+      << c.density << "_seed" << c.seed;
+}
 
 class SquareClusteringPropertyTest
     : public ::testing::TestWithParam<ScCase> {};

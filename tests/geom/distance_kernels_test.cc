@@ -127,7 +127,7 @@ TEST_P(KernelDecisionTest, KnnCandidatesMatchScalarReferenceAcrossDims) {
 }
 
 TEST_P(KernelDecisionTest, UnpaddedBlockMatchesScalarReference) {
-  // stride == dims (EGO/PBSM-style tight rows, no padding) exercises the
+  // stride == dims (EGO-style tight rows, no padding) exercises the
   // generic runtime-width path for every dims value.
   const Norm norm = GetParam();
   Rng rng(211);

@@ -95,8 +95,7 @@ TEST_F(AccountingFixture, RunsAreFullyDeterministic) {
   };
   for (Algorithm algorithm :
        {Algorithm::kNlj, Algorithm::kPmNlj, Algorithm::kRandomSc,
-        Algorithm::kSc, Algorithm::kCc, Algorithm::kEgo, Algorithm::kBfrj,
-        Algorithm::kPbsm}) {
+        Algorithm::kSc, Algorithm::kCc, Algorithm::kEgo, Algorithm::kBfrj}) {
     EXPECT_EQ(run_once(algorithm), run_once(algorithm))
         << AlgorithmName(algorithm);
   }

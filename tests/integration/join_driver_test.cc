@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/joiners.h"
+#include "core/plane_sweep.h"
 #include "core/reference_join.h"
 #include "data/generators.h"
 #include "io/simulated_disk.h"
@@ -24,7 +26,7 @@ const Algorithm kSequenceAlgorithms[] = {
 const Algorithm kVectorAlgorithms[] = {
     Algorithm::kNlj, Algorithm::kPmNlj, Algorithm::kRandomSc,
     Algorithm::kSc,  Algorithm::kCc,    Algorithm::kEgo,
-    Algorithm::kBfrj, Algorithm::kPbsm,
+    Algorithm::kBfrj,
 };
 
 JoinOptions BaseOptions(Algorithm algorithm, uint32_t buffer) {
@@ -212,22 +214,46 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, StringDriverTest,
                          });
 
 
+// The driver builds every matrix hierarchically (Fig. 1); these check
+// that build against the flat leaf sweep, the definition, over the page
+// MBRs the driver joins.
+
+/// An STR tree over `page_mbrs` with a small fanout, so that the
+/// hierarchical build descends through inner nodes.
+RStarTree PageTree(const std::vector<Mbr>& page_mbrs) {
+  std::vector<RStarTree::Entry> leaves;
+  for (uint32_t p = 0; p < page_mbrs.size(); ++p)
+    leaves.push_back(RStarTree::Entry{page_mbrs[p], p});
+  return RStarTree::BulkLoadStr(page_mbrs[0].dims(), std::move(leaves),
+                                RStarTree::Options{8});
+}
+
+void ExpectMatrixBuildersAgree(const RStarTree& r_tree,
+                               const RStarTree& s_tree,
+                               const std::vector<Mbr>& r_pages,
+                               const std::vector<Mbr>& s_pages,
+                               double threshold, Norm norm) {
+  const PredictionMatrix flat =
+      BuildPredictionMatrixFlat(r_pages, s_pages, threshold, norm, nullptr);
+  const PredictionMatrix hier = BuildPredictionMatrixHierarchical(
+      r_tree, s_tree, static_cast<uint32_t>(r_pages.size()),
+      static_cast<uint32_t>(s_pages.size()), threshold, norm,
+      JoinOptions().filter_iterations, nullptr);
+  EXPECT_GT(flat.MarkedCount(), 0u);
+  EXPECT_LT(flat.MarkedCount(), uint64_t{flat.rows()} * flat.cols());
+  EXPECT_EQ(hier.AllEntries(), flat.AllEntries());
+}
+
 TEST(JoinDriverTest, SequenceHierarchicalAndFlatMatricesAgree) {
   SimulatedDisk disk;
   std::vector<uint8_t> a = GenDnaSequence(2500, 91, 0.5, 0.01, 0.05);
   auto store = StringSequenceStore::Build(&disk, "a", a, 4, 12, 64);
   ASSERT_TRUE(store.ok());
-  JoinDriver driver(&disk);
-  JoinOptions hier = BaseOptions(Algorithm::kSc, 12);
-  JoinOptions flat = hier;
-  flat.hierarchical_matrix = false;
-  CollectingSink hier_sink, flat_sink;
-  auto x = driver.RunString(*store, *store, 1, hier, &hier_sink);
-  auto y = driver.RunString(*store, *store, 1, flat, &flat_sink);
-  ASSERT_TRUE(x.ok());
-  ASSERT_TRUE(y.ok());
-  EXPECT_EQ(x->marked_entries, y->marked_entries);
-  EXPECT_EQ(hier_sink.Sorted(), flat_sink.Sorted());
+  const SequencePairJoiner<StringKind> joiner(&*store, &*store, 1, true);
+  const RStarTree tree = PageTree(store->page_mbrs());
+  ExpectMatrixBuildersAgree(tree, tree, store->page_mbrs(),
+                            store->page_mbrs(), joiner.MatrixThreshold(),
+                            StringKind::kNorm);
 }
 
 TEST(JoinDriverTest, TimeSeriesHierarchicalAndFlatMatricesAgree) {
@@ -236,30 +262,11 @@ TEST(JoinDriverTest, TimeSeriesHierarchicalAndFlatMatricesAgree) {
   auto store = TimeSeriesStore::Build(&disk, "x", x_vals, 4, 16,
                                       60 * sizeof(float));
   ASSERT_TRUE(store.ok());
-  JoinDriver driver(&disk);
-  JoinOptions hier = BaseOptions(Algorithm::kSc, 12);
-  JoinOptions flat = hier;
-  flat.hierarchical_matrix = false;
-  CollectingSink hier_sink, flat_sink;
-  auto a = driver.RunTimeSeries(*store, *store, 1.0, hier, &hier_sink);
-  auto b = driver.RunTimeSeries(*store, *store, 1.0, flat, &flat_sink);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->marked_entries, b->marked_entries);
-  EXPECT_EQ(hier_sink.Sorted(), flat_sink.Sorted());
-}
-
-TEST(JoinDriverTest, PbsmRejectedForSequenceData) {
-  SimulatedDisk disk;
-  const std::vector<uint8_t> a = GenDnaSequence(300, 81);
-  auto store = StringSequenceStore::Build(&disk, "a", a, 4, 12, 64);
-  ASSERT_TRUE(store.ok());
-  JoinDriver driver(&disk);
-  CountingSink sink;
-  auto report = driver.RunString(*store, *store, 1,
-                                 BaseOptions(Algorithm::kPbsm, 8), &sink);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.status().IsUnimplemented());
+  const SequencePairJoiner<SeriesKind> joiner(&*store, &*store, 1.0, true);
+  const RStarTree tree = PageTree(store->page_mbrs());
+  ExpectMatrixBuildersAgree(tree, tree, store->page_mbrs(),
+                            store->page_mbrs(), joiner.MatrixThreshold(),
+                            SeriesKind::kNorm);
 }
 
 TEST(JoinDriverTest, AlgorithmNames) {
@@ -270,7 +277,6 @@ TEST(JoinDriverTest, AlgorithmNames) {
   EXPECT_EQ(AlgorithmName(Algorithm::kCc), "CC");
   EXPECT_EQ(AlgorithmName(Algorithm::kEgo), "EGO");
   EXPECT_EQ(AlgorithmName(Algorithm::kBfrj), "BFRJ");
-  EXPECT_EQ(AlgorithmName(Algorithm::kPbsm), "PBSM");
 }
 
 TEST(JoinDriverTest, ScBeatsNljOnModeledCost) {
@@ -309,18 +315,8 @@ TEST(JoinDriverTest, HierarchicalAndFlatMatricesAgree) {
   auto s = VectorDataset::Build(&disk, "s", s_raw, ds_options);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(s.ok());
-
-  JoinDriver driver(&disk);
-  JoinOptions hier = BaseOptions(Algorithm::kSc, 12);
-  JoinOptions flat = hier;
-  flat.hierarchical_matrix = false;
-  CollectingSink hier_sink, flat_sink;
-  auto a = driver.RunVector(*r, *s, 0.05, hier, &hier_sink);
-  auto b = driver.RunVector(*r, *s, 0.05, flat, &flat_sink);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->marked_entries, b->marked_entries);
-  EXPECT_EQ(hier_sink.Sorted(), flat_sink.Sorted());
+  ExpectMatrixBuildersAgree(r->tree(), s->tree(), r->page_mbrs(),
+                            s->page_mbrs(), 0.05, Norm::kL2);
 }
 
 TEST(JoinDriverTest, ReportBreakdownConsistent) {

@@ -215,7 +215,6 @@ TEST(EngineTokenTest, RoundTripsServedFamily) {
   }
   EXPECT_FALSE(ParseEngine("ego").ok());
   EXPECT_FALSE(ParseEngine("bfrj").ok());
-  EXPECT_FALSE(ParseEngine("pbsm").ok());
   EXPECT_FALSE(ParseEngine("").ok());
 }
 

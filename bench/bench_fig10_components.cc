@@ -39,7 +39,7 @@ int Run(const BenchArgs& args) {
   const double eps =
       CalibratePageEps(*r, *s, 0.10, Norm::kL2, /*seed=*/0xF1610);
   const uint32_t buffer = static_cast<uint32_t>(Scaled(25, scale, 6));
-  std::printf("records: %zu x %zu, pages: %u x %u, eps=%.3f, B=%u\n",
+  std::printf("records: %zu x %zu, pages: %u x %u, eps=%.3g, B=%u\n",
               lbeach.count(), mcounty.count(), r->num_pages(),
               s->num_pages(), eps, buffer);
 

@@ -35,11 +35,15 @@ struct Row {
 };
 
 void RunRow(const Row& row) {
-  PrintTableHeader(row.label, {"B", "SC io(s)", "CC io(s)", "SC pages",
+  PrintTableHeader(row.label, {"SC io(s)", "CC io(s)", "SC pages",
                                "CC pages", "SC lin(s)", "CC lin(s)"});
+  uint32_t previous = 0;
   for (uint32_t paper_b : row.paper_buffers) {
     const uint32_t buffer =
         ScaledBuffer(paper_b, row.paper_pages, row.actual_pages);
+    // Small scales can map two paper buffers to the same B.
+    if (buffer == previous) continue;
+    previous = buffer;
     const JoinReport sc = row.run(Algorithm::kSc, buffer);
     const JoinReport cc = row.run(Algorithm::kCc, buffer);
     DiskModel linear;  // Library default: 10 ms seek + 1 ms transfer.

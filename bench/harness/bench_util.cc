@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "geom/distance.h"
 #include "obs/run_report.h"
@@ -149,12 +150,13 @@ namespace {
 constexpr int kColWidth = 12;
 constexpr int kLabelWidth = 18;
 
-// JSON-mode state: the current table's title and column names, captured by
-// PrintTableHeader so rows can be keyed by column.
+// The current table's title and column names, captured by
+// PrintTableHeader so rows can be checked against the header and, in JSON
+// mode, keyed by column.
 bool json_output = false;
 obs::RunReport* report_artifact = nullptr;
-std::string json_table_title;
-std::vector<std::string> json_table_columns;
+std::string table_title;
+std::vector<std::string> table_columns;
 
 /// Prints one JSON Lines record to stdout and, when set, mirrors it into
 /// the report artifact's rows.
@@ -197,9 +199,9 @@ void SetReportArtifact(obs::RunReport* report) { report_artifact = report; }
 
 void PrintTableHeader(const std::string& title,
                       const std::vector<std::string>& columns) {
+  table_title = title;
+  table_columns = columns;
   if (json_output) {
-    json_table_title = title;
-    json_table_columns = columns;
     std::string line = "{\"table\": \"" + JsonEscape(title) +
                        "\", \"columns\": [";
     for (size_t i = 0; i < columns.size(); ++i) {
@@ -224,20 +226,22 @@ void PrintTableHeader(const std::string& title,
 }
 
 void PrintTableRow(const std::vector<std::string>& cells) {
+  PMJOIN_CHECK(cells.size() == table_columns.size() + 1, "table '",
+               table_title, "': a row of ", cells.size(),
+               " cells under ", table_columns.size(),
+               " columns (a row is one label plus one cell per column)");
   if (json_output) {
-    std::string line = "{\"table\": \"" + JsonEscape(json_table_title) + '"';
-    if (!cells.empty()) line += ", \"label\": " + JsonValue(cells[0]);
+    std::string line = "{\"table\": \"" + JsonEscape(table_title) + '"';
+    line += ", \"label\": " + JsonValue(cells[0]);
     for (size_t i = 1; i < cells.size(); ++i) {
-      const std::string key = i - 1 < json_table_columns.size()
-                                  ? json_table_columns[i - 1]
-                                  : "col" + std::to_string(i - 1);
-      line += ", \"" + JsonEscape(key) + "\": " + JsonValue(cells[i]);
+      line += ", \"" + JsonEscape(table_columns[i - 1]) +
+              "\": " + JsonValue(cells[i]);
     }
     line += '}';
     EmitJsonLine(line);
     return;
   }
-  if (!cells.empty()) std::printf("%-*s", kLabelWidth, cells[0].c_str());
+  std::printf("%-*s", kLabelWidth, cells[0].c_str());
   for (size_t i = 1; i < cells.size(); ++i) {
     std::printf("%*s", kColWidth, cells[i].c_str());
   }

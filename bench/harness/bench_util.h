@@ -130,6 +130,8 @@ double CalibratePageEps(const VectorDataset& r, const VectorDataset& s,
 /// format unchanged.
 void PrintTableHeader(const std::string& title,
                       const std::vector<std::string>& columns);
+/// One row under the last header: a label, then one cell per column.
+/// Any other shape fails a PMJOIN_CHECK.
 void PrintTableRow(const std::vector<std::string>& cells);
 
 /// Switches PrintTable*/PrintPaperNote to JSON Lines output. Called by

@@ -165,8 +165,8 @@ Status EgoSweep(const EgoSide& r, const EgoSide& s, double cell_width,
 
 Status EgoJoinVectors(const VectorDataset& r, const VectorDataset& s,
                       bool self_join, double eps, Norm norm,
-                      StorageBackend* disk, BufferPool* pool, PairSink* sink,
-                      OpCounters* ops) {
+                      uint32_t page_size_bytes, StorageBackend* disk,
+                      BufferPool* pool, PairSink* sink, OpCounters* ops) {
   if (self_join && &r != &s)
     return Status::InvalidArgument("self_join requires identical datasets");
   // Extract features (the records themselves) by scanning the base files.
@@ -185,9 +185,8 @@ Status EgoJoinVectors(const VectorDataset& r, const VectorDataset& s,
       }
     }
     return BuildEgoSide(disk, name, std::move(features),
-                        std::move(positions), ds.dims(), eps,
-                        /*page_size_bytes=*/4096, pool->capacity(), ops,
-                        side);
+                        std::move(positions), ds.dims(), eps, page_size_bytes,
+                        pool->capacity(), ops, side);
   };
 
   EgoSide er;
@@ -210,7 +209,8 @@ Status EgoJoinVectors(const VectorDataset& r, const VectorDataset& s,
 template <typename Kind>
 Status EgoJoinSequence(const SequenceStore<Kind>& r,
                        const SequenceStore<Kind>& s, bool self_join,
-                       typename Kind::Threshold threshold, StorageBackend* disk,
+                       typename Kind::Threshold threshold,
+                       uint32_t page_size_bytes, StorageBackend* disk,
                        BufferPool* pool, PairSink* sink, OpCounters* ops) {
   if (self_join && &r != &s)
     return Status::InvalidArgument("self_join requires identical stores");
@@ -229,8 +229,8 @@ Status EgoJoinSequence(const SequenceStore<Kind>& r,
     std::iota(positions.begin(), positions.end(), uint64_t{0});
     PMJOIN_RETURN_IF_ERROR(disk->ScanFile(store.file_id()));
     return BuildEgoSide(disk, name, std::move(features),
-                        std::move(positions), dims, cell_width, 4096,
-                        pool->capacity(), ops, side);
+                        std::move(positions), dims, cell_width,
+                        page_size_bytes, pool->capacity(), ops, side);
   };
   EgoSide er;
   PMJOIN_RETURN_IF_ERROR(build_side(r, "ego-seq-r", &er));
@@ -262,9 +262,9 @@ Status EgoJoinSequence(const SequenceStore<Kind>& r,
 
 template Status EgoJoinSequence<StringKind>(
     const StringSequenceStore&, const StringSequenceStore&, bool, uint32_t,
-    StorageBackend*, BufferPool*, PairSink*, OpCounters*);
+    uint32_t, StorageBackend*, BufferPool*, PairSink*, OpCounters*);
 template Status EgoJoinSequence<SeriesKind>(
-    const TimeSeriesStore&, const TimeSeriesStore&, bool, double,
+    const TimeSeriesStore&, const TimeSeriesStore&, bool, double, uint32_t,
     StorageBackend*, BufferPool*, PairSink*, OpCounters*);
 
 }  // namespace pmjoin

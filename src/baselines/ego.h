@@ -34,21 +34,24 @@ namespace pmjoin {
 /// shared counters/pool, so EGO rows in the benches are directly
 /// comparable with SC/NLJ rows.
 
-/// ε-join of two vector datasets. `self_join` requires r == s.
+/// ε-join of two vector datasets. `self_join` requires r == s. The
+/// sorted copies are paged at `page_size_bytes`, the data's page size.
 Status EgoJoinVectors(const VectorDataset& r, const VectorDataset& s,
                       bool self_join, double eps, Norm norm,
-                      StorageBackend* disk, BufferPool* pool, PairSink* sink,
-                      OpCounters* ops);
+                      uint32_t page_size_bytes, StorageBackend* disk,
+                      BufferPool* pool, PairSink* sink, OpCounters* ops);
 
 /// Subsequence join of two sequence stores (edit distance <= k for
 /// strings, L2 <= ε for time series). Each candidate the feature-space
 /// sweep finds is verified against the original pages, which pins two
 /// pages on top of the sweep's two: a pool of fewer than 4 pages can fail
-/// with BufferFull.
+/// with BufferFull. The feature copies are paged at `page_size_bytes`,
+/// the stores' page size.
 template <typename Kind>
 Status EgoJoinSequence(const SequenceStore<Kind>& r,
                        const SequenceStore<Kind>& s, bool self_join,
-                       typename Kind::Threshold threshold, StorageBackend* disk,
+                       typename Kind::Threshold threshold,
+                       uint32_t page_size_bytes, StorageBackend* disk,
                        BufferPool* pool, PairSink* sink, OpCounters* ops);
 
 }  // namespace pmjoin

@@ -78,7 +78,7 @@ class CollectingSink : public PairSink {
 /// `PairSink`), so emission is lock-free; the coordinator then drains the
 /// shards into the real downstream sink *in shard order*. When the work is
 /// partitioned into contiguous chunks assigned to shards 0..n−1 in order
-/// (as the parallel executor does per cluster), the drained emission
+/// (as the multi-threaded executor does per cluster), the drained emission
 /// sequence is exactly the serial one — no sorting needed for
 /// reproducibility.
 class ShardedPairSink {

@@ -34,7 +34,7 @@ class WaitGroup {
 
 /// A fixed-size pool of worker threads draining a FIFO task queue.
 ///
-/// Used by the parallel cluster-join executor (core/executor.h): tasks are
+/// Used by the cluster-join executor (core/executor.h): tasks are
 /// the per-chunk entry joins of the current cluster. The pool is
 /// deliberately minimal — no futures, no stealing — because the executor
 /// synchronizes per cluster with a WaitGroup and needs nothing more.

@@ -15,9 +15,10 @@ namespace pmjoin {
 
 /// In-memory join of a range of marked entries: calls
 /// `input.joiner->JoinPages` for each entry in order. This is the entry-
-/// join kernel shared by the serial executor, each parallel worker's
-/// chunk, and pm-NLJ-style callers that already hold the pages resident.
-/// The caller guarantees every referenced page is buffer-resident.
+/// join kernel of the executor's join step (inline, or one per worker
+/// chunk) and of pm-NLJ-style callers that already hold the pages
+/// resident. The caller guarantees every referenced page is
+/// buffer-resident.
 void JoinEntries(const JoinInput& input, std::span<const MatrixEntry> entries,
                  PairSink* sink, OpCounters* ops);
 
@@ -31,15 +32,15 @@ void JoinEntries(const JoinInput& input, std::span<const MatrixEntry> entries,
 /// `order` holds indices into `clusters` (e.g. from ScheduleClusters, or a
 /// shuffled order for the random-SC baseline).
 ///
-/// `num_threads` worker threads join a cluster's marked entries. 1 (the
-/// default) runs the serial §8 loop on the calling thread. With n > 1,
-/// each cluster's entry list is split into n contiguous chunks joined
-/// concurrently, and the next cluster's pages are prefetched while they
-/// run; results and CPU counters are gathered from per-thread shards in
-/// chunk order, so the emitted pair sequence, the aggregated `OpCounters`
-/// and the simulated I/O stats are identical to the serial run's (the
-/// disk-access sequence is preserved, keeping the Lemma 3–4 seek
-/// accounting intact).
+/// `num_threads` sets who joins a cluster's marked entries. 1 (the
+/// default) joins them on the calling thread. With n > 1, the entry list
+/// is split into n contiguous chunks joined concurrently on n worker
+/// threads, and results and CPU counters are gathered from per-thread
+/// shards in chunk order. Pins and unpins happen on the calling thread at
+/// the same positions either way, so the emitted pair sequence, the
+/// aggregated `OpCounters` and the simulated I/O stats do not depend on
+/// the thread count (the disk-access sequence, and with it the Lemma 3–4
+/// seek accounting, is the one-thread run's).
 Status ExecuteClusteredJoin(const JoinInput& input,
                             const std::vector<Cluster>& clusters,
                             std::span<const uint32_t> order,

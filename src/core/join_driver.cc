@@ -52,23 +52,6 @@ std::string AlgorithmName(Algorithm algorithm) {
 JoinDriver::JoinDriver(StorageBackend* disk, CpuCostModel cpu_model)
     : disk_(disk), cpu_model_(cpu_model) {}
 
-const RStarTree* JoinDriver::SequencePageTree(
-    const void* store_key, const std::vector<Mbr>& page_mbrs) {
-  auto it = seq_trees_.find(store_key);
-  if (it != seq_trees_.end()) return it->second.get();
-  std::vector<RStarTree::Entry> leaves;
-  leaves.reserve(page_mbrs.size());
-  for (uint32_t p = 0; p < page_mbrs.size(); ++p)
-    leaves.push_back(RStarTree::Entry{page_mbrs[p], p});
-  auto tree = std::make_unique<RStarTree>(
-      RStarTree::BulkLoadStr(page_mbrs.empty() ? 1 : page_mbrs[0].dims(),
-                             std::move(leaves)));
-  tree->AttachFile(disk_, "seq-page-tree");
-  const RStarTree* raw = tree.get();
-  seq_trees_.emplace(store_key, std::move(tree));
-  return raw;
-}
-
 JoinReport JoinDriver::FinishReport(JoinReport report,
                                     const IoStats& io_before,
                                     const OpCounters& ops) const {
@@ -211,8 +194,8 @@ Result<JoinReport> JoinDriver::RunVector(const VectorDataset& r,
   if (options.algorithm == Algorithm::kEgo) {
     PMJOIN_SPAN_OPS("ego", &ops);
     BufferPool pool(disk_, options.buffer_pages);
-    st = EgoJoinVectors(r, s, self, eps, options.norm, disk_, &pool, sink,
-                        &ops);
+    st = EgoJoinVectors(r, s, self, eps, options.norm,
+                        options.page_size_bytes, disk_, &pool, sink, &ops);
   } else if (options.algorithm == Algorithm::kBfrj) {
     if (!r.tree().file_id().has_value() || !s.tree().file_id().has_value())
       return Status::InvalidArgument(
@@ -333,30 +316,25 @@ Result<JoinReport> JoinDriver::RunSequence(const char* caller,
   report.algorithm = options.algorithm;
   PMJOIN_SPAN_OPS("join", &ops);
 
-  // Only the paths that walk the page trees build them: each build
-  // registers a node file on the disk.
-  const auto page_trees = [&] {
-    const RStarTree* rt = SequencePageTree(&r, r.page_mbrs());
-    return std::pair{rt, self ? rt : SequencePageTree(&s, s.page_mbrs())};
-  };
   Status st;
   if (options.algorithm == Algorithm::kEgo) {
     PMJOIN_SPAN_OPS("ego", &ops);
     BufferPool pool(disk_, options.buffer_pages);
-    st = EgoJoinSequence(r, s, self, threshold, disk_, &pool, sink, &ops);
+    st = EgoJoinSequence(r, s, self, threshold, options.page_size_bytes,
+                         disk_, &pool, sink, &ops);
   } else if (options.algorithm == Algorithm::kBfrj) {
     PMJOIN_SPAN_OPS("bfrj", &ops);
-    const auto [rt, stree] = page_trees();
     BufferPool pool(disk_, options.buffer_pages);
-    st = BfrjJoin(*rt, *stree, input, joiner.MatrixThreshold(), Kind::kNorm,
-                  options.page_size_bytes, disk_, &pool, sink, &ops);
+    st = BfrjJoin(r.tree(), s.tree(), input, joiner.MatrixThreshold(),
+                  Kind::kNorm, options.page_size_bytes, disk_, &pool, sink,
+                  &ops);
   } else {
     OpCounters* build_ops =
         options.algorithm == Algorithm::kNlj ? nullptr : &ops;
-    const auto [rt, stree] = page_trees();
     const PredictionMatrix matrix = BuildPredictionMatrixHierarchical(
-        *rt, *stree, input.r_pages, input.s_pages, joiner.MatrixThreshold(),
-        Kind::kNorm, options.filter_iterations, build_ops);
+        r.tree(), s.tree(), input.r_pages, input.s_pages,
+        joiner.MatrixThreshold(), Kind::kNorm, options.filter_iterations,
+        build_ops);
     st = RunMatrixAlgorithm(input, matrix, options, disk_->model(), disk_,
                             sink, &ops, &report, nullptr);
   }

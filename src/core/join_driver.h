@@ -2,10 +2,7 @@
 #define PMJOIN_CORE_JOIN_DRIVER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "common/cost_model.h"
 #include "common/op_counters.h"
@@ -13,7 +10,6 @@
 #include "common/result.h"
 #include "core/prediction_matrix.h"
 #include "data/vector_dataset.h"
-#include "index/rstar_tree.h"
 #include "geom/distance.h"
 #include "io/storage_backend.h"
 #include "obs/run_report.h"
@@ -62,8 +58,8 @@ struct JoinOptions {
   /// by the scheduling ablation bench.
   bool schedule_clusters = true;
 
-  /// Page size in bytes (BFRJ intermediate sizing; must match the page
-  /// size used to build the datasets).
+  /// Page size in bytes (BFRJ intermediate sizing and EGO's sorted
+  /// copies; must match the page size used to build the datasets).
   uint32_t page_size_bytes = 4096;
 
   /// Worker threads for the clustered executor's in-memory entry joins
@@ -154,8 +150,8 @@ struct JoinReport {
 /// fully attributed cost report. This is the public API the examples and
 /// benches use.
 ///
-/// The driver owns nothing but caches: R-tree node files (for BFRJ) and
-/// sequence page trees are created on the driver's disk on first use.
+/// The driver owns no data: every dataset and store brings its own page
+/// tree and node file, built with it on the driver's disk.
 class JoinDriver {
  public:
   explicit JoinDriver(StorageBackend* disk,
@@ -201,11 +197,6 @@ class JoinDriver {
   const CpuCostModel& cpu_model() const { return cpu_model_; }
 
  private:
-  /// Cached page tree for a sequence store (bulk-loaded over page MBRs,
-  /// node file attached for BFRJ I/O accounting).
-  const RStarTree* SequencePageTree(const void* store_key,
-                                    const std::vector<Mbr>& page_mbrs);
-
   /// The body of RunTimeSeries and RunString; `caller` prefixes argument
   /// errors.
   template <typename Kind>
@@ -222,7 +213,6 @@ class JoinDriver {
 
   StorageBackend* disk_;
   CpuCostModel cpu_model_;
-  std::unordered_map<const void*, std::unique_ptr<RStarTree>> seq_trees_;
 };
 
 }  // namespace pmjoin

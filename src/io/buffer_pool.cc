@@ -147,11 +147,6 @@ bool BufferPool::Contains(PageId pid) const {
   return frames_.find(pid) != frames_.end();
 }
 
-bool BufferPool::IsEvictable(PageId pid) const {
-  auto it = frames_.find(pid);
-  return it != frames_.end() && it->second.pin_count == 0;
-}
-
 Status BufferPool::ValidateInvariants() const {
   if (frames_.size() > capacity_)
     return Status::Internal("resident pages exceed capacity");

@@ -61,11 +61,7 @@ class BufferPool {
   /// FileBackend checksum mismatch, say — the missed pages' residency is
   /// dropped too, since their payloads were never read), but evictions
   /// already performed, `buffer_hits` already charged, and refreshed LRU
-  /// positions are not restored. A caller that
-  /// depends on accounting equivalence (the parallel executor's prefetch,
-  /// core/executor.cc) must gate the call so it provably cannot fail —
-  /// evictions needed must not exceed the evictable pages *outside* the
-  /// batch (see IsEvictable) — or treat failure as fatal.
+  /// positions are not restored.
   Status PinBatch(std::span<const PageId> pages);
 
   /// Unpins every page in `pages` (each exactly once).
@@ -73,13 +69,6 @@ class BufferPool {
 
   /// True iff the page is resident (pinned or not).
   bool Contains(PageId pid) const;
-
-  /// True iff the page is resident with pin count zero, i.e. currently an
-  /// eviction candidate. The parallel executor's prefetch gate uses this
-  /// to exclude a batch's own resident-unpinned pages from the victim
-  /// supply: PinBatch pins them before admitting any miss, so they can
-  /// never be evicted on behalf of that batch.
-  bool IsEvictable(PageId pid) const;
 
   /// Drops all unpinned pages (used between independent experiment phases).
   /// Fails if any page is still pinned.
@@ -104,13 +93,6 @@ class BufferPool {
   uint32_t capacity() const { return capacity_; }
   uint32_t ResidentCount() const { return static_cast<uint32_t>(frames_.size()); }
   uint32_t PinnedCount() const { return pinned_count_; }
-
-  /// Resident pages that are evictable (pin count zero). The parallel
-  /// executor's prefetch-feasibility check (core/executor.cc) compares the
-  /// evictions a batch would need against this.
-  uint32_t UnpinnedCount() const {
-    return static_cast<uint32_t>(frames_.size()) - pinned_count_;
-  }
 
   StorageBackend* disk() { return disk_; }
 

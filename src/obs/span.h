@@ -31,8 +31,8 @@ struct TraceEvent {
   int64_t end_ns = 0;
   uint64_t arg = kNoArg;  // optional operand (e.g. cluster index)
   // Modeled-I/O delta over the span. Captured only on the session thread —
-  // by design all disk traffic happens there (the parallel executor pins on
-  // the coordinator only), so worker-track events are timing/ops-only and
+  // by design all disk traffic happens there (the executor pins on the
+  // calling thread only), so worker-track events are timing/ops-only and
   // the attribution ledger stays race-free and exact.
   bool has_io = false;
   IoStats io;

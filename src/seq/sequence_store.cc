@@ -194,6 +194,7 @@ Result<SequenceStore<Kind>> SequenceStore<Kind>::Build(
       Assemble(std::move(symbols), feature_dims, window_len, page_size_bytes,
                sub_box_windows));
   store.file_id_ = disk->CreateFile(name, store.layout_.NumPages());
+  store.tree_.AttachFile(disk, std::string(name) + ".idx");
   return store;
 }
 
@@ -245,6 +246,12 @@ Result<SequenceStore<Kind>> SequenceStore<Kind>::Assemble(
       static_cast<uint32_t>(store.sub_mbrs_.size()));
   store.coarse_offsets_.push_back(
       static_cast<uint32_t>(store.coarse_mbrs_.size()));
+
+  std::vector<RStarTree::Entry> leaves;
+  leaves.reserve(num_pages);
+  for (uint32_t p = 0; p < num_pages; ++p)
+    leaves.push_back(RStarTree::Entry{store.page_mbrs_[p], p});
+  store.tree_ = RStarTree::BulkLoadStr(feature_dims, std::move(leaves));
   return store;
 }
 
@@ -326,6 +333,7 @@ Result<SequenceStore<Kind>> SequenceStore<Kind>::Open(StorageBackend* disk,
                sub_box_windows);
   if (!store.ok()) return Status::Corruption(store.status().message());
   store->file_id_ = data_file;
+  store->tree_.AttachFile(disk, std::string(name) + ".idx");
   return store;
 }
 

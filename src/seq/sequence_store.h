@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "geom/distance.h"
 #include "geom/mbr.h"
+#include "index/rstar_tree.h"
 #include "io/storage_backend.h"
 #include "seq/paa.h"
 #include "seq/window_join.h"
@@ -241,15 +242,16 @@ struct SeriesKind {
 };
 
 /// A sequence laid out for subsequence joins: the symbol array, one
-/// feature MBR per page and the per-page sub-box and coarse-box MBRs of
-/// the multi-resolution index.
+/// feature MBR per page, the per-page sub-box and coarse-box MBRs of the
+/// multi-resolution index, and the page tree over the page MBRs.
 template <typename Kind>
 class SequenceStore {
  public:
   using Symbol = typename Kind::Symbol;
 
   /// Builds the store, registers a `layout().NumPages()`-page file on
-  /// `disk`, and computes the window-feature MBRs.
+  /// `disk`, computes the window-feature MBRs and bulk-loads the page
+  /// tree, whose node file `<name>.idx` is registered on `disk` too.
   ///
   /// `feature_dims` is the alphabet size of a string or the PAA dimension
   /// f of a time series (f must divide `window_len`, L).
@@ -273,9 +275,9 @@ class SequenceStore {
   Status Persist(StorageBackend* disk) const;
 
   /// Restores a store persisted as `name`: re-stitches the symbol array
-  /// from the page slices and reruns the deterministic summary build, so
-  /// the result is bit-identical to the original. A sidecar field or page
-  /// value that Build would reject is Corruption.
+  /// from the page slices and reruns the deterministic summary and tree
+  /// build, so the result is bit-identical to the original. A sidecar
+  /// field or page value that Build would reject is Corruption.
   static Result<SequenceStore> Open(StorageBackend* disk,
                                     std::string_view name);
 
@@ -302,6 +304,11 @@ class SequenceStore {
     return coarse_mbrs_[coarse_offsets_[page] + cb];
   }
 
+  /// STR-packed tree over the page MBRs (leaf entry ids are page
+  /// indices), with its node file attached so BFRJ can charge node I/O.
+  /// The prediction matrix and BFRJ walk it.
+  const RStarTree& tree() const { return tree_; }
+
   /// Lower bound on the raw distance between any window of page `p` and
   /// any window of page `q` of `other`: Kind::FeatureScale times the
   /// page MBRs' MINDIST under Kind::kNorm (L1/2 for strings, sqrt(L/f) ·
@@ -312,7 +319,7 @@ class SequenceStore {
  private:
   SequenceStore() = default;
 
-  /// Everything Build does except registering the backend file.
+  /// Everything Build does except registering the backend files.
   static Result<SequenceStore> Assemble(std::vector<Symbol> symbols,
                                         uint32_t feature_dims,
                                         uint32_t window_len,
@@ -330,6 +337,7 @@ class SequenceStore {
   /// Coarse-box MBRs (unions of fine boxes), same layout scheme.
   std::vector<Mbr> coarse_mbrs_;
   std::vector<uint32_t> coarse_offsets_;
+  RStarTree tree_{1};
 };
 
 /// A string (e.g. genome) laid out for subsequence joins.

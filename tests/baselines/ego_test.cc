@@ -12,13 +12,19 @@ namespace {
 
 using testing_util::SmallVectorJoin;
 
+// The page sizes the tests build their data with; EGO pages its sorted
+// copies at the same size.
+constexpr uint32_t kFixturePageBytes = 64;  // SmallVectorJoin's default.
+constexpr uint32_t kSeriesPageBytes = 60 * sizeof(float);
+constexpr uint32_t kStringPageBytes = 64;
+
 TEST(EgoVectorTest, MatchesReferenceJoin) {
   SmallVectorJoin fixture(250, 200, 3, 0.06);
   BufferPool pool(&fixture.disk(), 16);
   CollectingSink sink;
   ASSERT_TRUE(EgoJoinVectors(fixture.r(), fixture.s(), false, fixture.eps(),
-                             fixture.norm(), &fixture.disk(), &pool, &sink,
-                             nullptr)
+                             fixture.norm(), kFixturePageBytes,
+                             &fixture.disk(), &pool, &sink, nullptr)
                   .ok());
   EXPECT_EQ(sink.Sorted(), fixture.Expected());
   EXPECT_GT(sink.pairs().size(), 0u);
@@ -34,8 +40,9 @@ TEST(EgoVectorTest, SelfJoinMatchesReference) {
 
   BufferPool pool(&disk, 16);
   CollectingSink sink;
-  ASSERT_TRUE(EgoJoinVectors(*ds, *ds, true, 0.05, Norm::kL2, &disk, &pool,
-                             &sink, nullptr)
+  ASSERT_TRUE(EgoJoinVectors(*ds, *ds, true, 0.05, Norm::kL2,
+                             options.page_size_bytes, &disk, &pool, &sink,
+                             nullptr)
                   .ok());
   CollectingSink ref;
   ReferenceVectorJoin(data, data, 0.05, Norm::kL2, true, &ref);
@@ -49,8 +56,8 @@ TEST(EgoVectorTest, L1AndLInfNorms) {
     BufferPool pool(&fixture.disk(), 16);
     CollectingSink sink;
     ASSERT_TRUE(EgoJoinVectors(fixture.r(), fixture.s(), false,
-                               fixture.eps(), norm, &fixture.disk(), &pool,
-                               &sink, nullptr)
+                               fixture.eps(), norm, kFixturePageBytes,
+                               &fixture.disk(), &pool, &sink, nullptr)
                     .ok());
     EXPECT_EQ(sink.Sorted(), fixture.Expected());
   }
@@ -62,8 +69,8 @@ TEST(EgoVectorTest, ChargesSortIo) {
   CountingSink sink;
   const IoStats before = fixture.disk().stats();
   ASSERT_TRUE(EgoJoinVectors(fixture.r(), fixture.s(), false, fixture.eps(),
-                             fixture.norm(), &fixture.disk(), &pool, &sink,
-                             nullptr)
+                             fixture.norm(), kFixturePageBytes,
+                             &fixture.disk(), &pool, &sink, nullptr)
                   .ok());
   const IoStats delta = fixture.disk().stats().Delta(before);
   // External sorting writes at least one full copy of both datasets.
@@ -77,16 +84,16 @@ TEST(EgoTimeSeriesTest, MatchesReference) {
   const std::vector<float> x = GenRandomWalk(400, 17);
   const std::vector<float> y = GenRandomWalk(350, 18);
   const uint32_t L = 16, f = 4;
-  auto xs = TimeSeriesStore::Build(&disk, "x", x, f, L, 60 * sizeof(float));
-  auto ys = TimeSeriesStore::Build(&disk, "y", y, f, L, 60 * sizeof(float));
+  auto xs = TimeSeriesStore::Build(&disk, "x", x, f, L, kSeriesPageBytes);
+  auto ys = TimeSeriesStore::Build(&disk, "y", y, f, L, kSeriesPageBytes);
   ASSERT_TRUE(xs.ok());
   ASSERT_TRUE(ys.ok());
 
   const double eps = 2.0;
   BufferPool pool(&disk, 16);
   CollectingSink sink;
-  ASSERT_TRUE(EgoJoinSequence(*xs, *ys, false, eps, &disk, &pool, &sink,
-                              nullptr)
+  ASSERT_TRUE(EgoJoinSequence(*xs, *ys, false, eps, kSeriesPageBytes, &disk,
+                              &pool, &sink, nullptr)
                   .ok());
   CollectingSink ref;
   ReferenceTimeSeriesJoin(x, y, L, eps, false, &ref);
@@ -98,13 +105,13 @@ TEST(EgoTimeSeriesTest, SelfJoinMatchesReference) {
   SimulatedDisk disk;
   const std::vector<float> x = GenRandomWalk(500, 19);
   const uint32_t L = 16, f = 4;
-  auto xs = TimeSeriesStore::Build(&disk, "x", x, f, L, 60 * sizeof(float));
+  auto xs = TimeSeriesStore::Build(&disk, "x", x, f, L, kSeriesPageBytes);
   ASSERT_TRUE(xs.ok());
   BufferPool pool(&disk, 16);
   CollectingSink sink;
-  ASSERT_TRUE(
-      EgoJoinSequence(*xs, *xs, true, 1.0, &disk, &pool, &sink, nullptr)
-          .ok());
+  ASSERT_TRUE(EgoJoinSequence(*xs, *xs, true, 1.0, kSeriesPageBytes, &disk,
+                              &pool, &sink, nullptr)
+                  .ok());
   CollectingSink ref;
   ReferenceTimeSeriesJoin(x, x, L, 1.0, true, &ref);
   EXPECT_EQ(sink.Sorted(), ref.Sorted());
@@ -118,16 +125,16 @@ TEST(EgoStringTest, MatchesReference) {
   // sequences occupy single, different composition regimes).
   for (size_t i = 0; i < 60; ++i) b[100 + i] = a[200 + i];
   const uint32_t L = 12, k = 2;
-  auto as = StringSequenceStore::Build(&disk, "a", a, 4, L, 64);
-  auto bs = StringSequenceStore::Build(&disk, "b", b, 4, L, 64);
+  auto as = StringSequenceStore::Build(&disk, "a", a, 4, L, kStringPageBytes);
+  auto bs = StringSequenceStore::Build(&disk, "b", b, 4, L, kStringPageBytes);
   ASSERT_TRUE(as.ok());
   ASSERT_TRUE(bs.ok());
 
   BufferPool pool(&disk, 16);
   CollectingSink sink;
-  ASSERT_TRUE(
-      EgoJoinSequence(*as, *bs, false, k, &disk, &pool, &sink, nullptr)
-          .ok());
+  ASSERT_TRUE(EgoJoinSequence(*as, *bs, false, k, kStringPageBytes, &disk,
+                              &pool, &sink, nullptr)
+                  .ok());
   CollectingSink ref;
   ReferenceStringJoin(a, b, L, k, false, &ref);
   EXPECT_EQ(sink.Sorted(), ref.Sorted());
@@ -138,12 +145,13 @@ TEST(EgoStringTest, SelfJoinMatchesReference) {
   SimulatedDisk disk;
   const std::vector<uint8_t> a = GenDnaSequence(600, 29, 0.5, 0.01);
   const uint32_t L = 12, k = 1;
-  auto as = StringSequenceStore::Build(&disk, "a", a, 4, L, 64);
+  auto as = StringSequenceStore::Build(&disk, "a", a, 4, L, kStringPageBytes);
   ASSERT_TRUE(as.ok());
   BufferPool pool(&disk, 16);
   CollectingSink sink;
-  ASSERT_TRUE(
-      EgoJoinSequence(*as, *as, true, k, &disk, &pool, &sink, nullptr).ok());
+  ASSERT_TRUE(EgoJoinSequence(*as, *as, true, k, kStringPageBytes, &disk,
+                              &pool, &sink, nullptr)
+                  .ok());
   CollectingSink ref;
   ReferenceStringJoin(a, a, L, k, true, &ref);
   EXPECT_EQ(sink.Sorted(), ref.Sorted());
@@ -154,13 +162,14 @@ TEST(EgoSequenceTest, MaterializationCostsExceedVectorEquivalent) {
   // files plus random verification reads.
   SimulatedDisk disk;
   const std::vector<uint8_t> a = GenDnaSequence(2000, 31, 0.5, 0.01);
-  auto as = StringSequenceStore::Build(&disk, "a", a, 4, 12, 64);
+  auto as = StringSequenceStore::Build(&disk, "a", a, 4, 12, kStringPageBytes);
   ASSERT_TRUE(as.ok());
   BufferPool pool(&disk, 8);
   CountingSink sink;
   const IoStats before = disk.stats();
-  ASSERT_TRUE(
-      EgoJoinSequence(*as, *as, true, 1, &disk, &pool, &sink, nullptr).ok());
+  ASSERT_TRUE(EgoJoinSequence(*as, *as, true, 1, kStringPageBytes, &disk,
+                              &pool, &sink, nullptr)
+                  .ok());
   const IoStats delta = disk.stats().Delta(before);
   // Far more I/O than one scan of the store.
   EXPECT_GT(delta.pages_read + delta.pages_written,
@@ -174,8 +183,8 @@ TEST(EgoSequenceTest, VerificationPinFailureIsReturned) {
   SimulatedDisk disk;
   const std::vector<uint8_t> a = GenDnaSequence(600, 29, 0.5, 0.01);
   const std::vector<float> x = GenRandomWalk(500, 19);
-  auto as = StringSequenceStore::Build(&disk, "a", a, 4, 12, 64);
-  auto xs = TimeSeriesStore::Build(&disk, "x", x, 4, 16, 60 * sizeof(float));
+  auto as = StringSequenceStore::Build(&disk, "a", a, 4, 12, kStringPageBytes);
+  auto xs = TimeSeriesStore::Build(&disk, "x", x, 4, 16, kSeriesPageBytes);
   ASSERT_TRUE(as.ok());
   ASSERT_TRUE(xs.ok());
   CollectingSink dna_ref, walk_ref;
@@ -186,11 +195,12 @@ TEST(EgoSequenceTest, VerificationPinFailureIsReturned) {
   for (const uint32_t buffer : {3u, 4u}) {
     BufferPool pool(&disk, buffer);
     CollectingSink dna, walk;
-    const Status dna_st =
-        EgoJoinSequence(*as, *as, true, 1, &disk, &pool, &dna, nullptr);
+    const Status dna_st = EgoJoinSequence(*as, *as, true, 1, kStringPageBytes,
+                                          &disk, &pool, &dna, nullptr);
     EXPECT_TRUE(pool.CheckQuiescent().ok());
     const Status walk_st =
-        EgoJoinSequence(*xs, *xs, true, 1.0, &disk, &pool, &walk, nullptr);
+        EgoJoinSequence(*xs, *xs, true, 1.0, kSeriesPageBytes, &disk, &pool,
+                        &walk, nullptr);
     EXPECT_TRUE(pool.CheckQuiescent().ok());
     if (buffer == 3) {
       EXPECT_TRUE(dna_st.IsBufferFull()) << dna_st.ToString();

@@ -1,6 +1,7 @@
 #include "harness/bench_util.h"
 
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -130,6 +131,28 @@ TEST(CalibratePageEpsTest, MonotoneInTarget) {
   const double lo = CalibratePageEps(*r, *r, 0.02, Norm::kL2, 7);
   const double hi = CalibratePageEps(*r, *r, 0.40, Norm::kL2, 7);
   EXPECT_LE(lo, hi);
+}
+
+TEST(PrintTableRowTest, PrintsLabelThenOneCellPerColumn) {
+  PrintTableHeader("shape", {"SC io(s)", "CC io(s)"});
+  testing::internal::CaptureStdout();
+  PrintTableRow({"B=4", "1.00", "2.00"});
+  const std::string row = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(row.find("B=4"), 0u);
+  EXPECT_NE(row.find("2.00"), std::string::npos);
+}
+
+TEST(PrintTableRowDeathTest, RejectsRowsThatDoNotMatchTheHeader) {
+  // A row's first cell is its label, never a column: a header that also
+  // lists the label as a column would shift every JSON key by one and
+  // drop the last column.
+  PrintTableHeader("shape", {"B", "SC io(s)", "CC io(s)"});
+  EXPECT_DEATH(PrintTableRow({"B=4", "1.00", "2.00"}),
+               "one label plus one cell per column");
+  PrintTableHeader("shape", {"SC io(s)"});
+  EXPECT_DEATH(PrintTableRow({"B=4", "1.00", "2.00"}),
+               "one label plus one cell per column");
+  EXPECT_DEATH(PrintTableRow({}), "one label plus one cell per column");
 }
 
 }  // namespace

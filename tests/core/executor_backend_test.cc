@@ -3,7 +3,7 @@
 // IoStats must be byte-identical to the serial run on the simulated
 // disk. Plus fault injection: a corrupt page first read for a later
 // cluster must surface as Status::Corruption through ExecuteClusteredJoin
-// with full pin rollback, also when the parallel executor pins it early.
+// with full pin rollback, at every worker count.
 
 #include <unistd.h>
 
@@ -193,8 +193,8 @@ TEST(ExecutorBackendTest, CorruptLaterPageSurfacesWithFullRollback) {
   const auto order = ScheduleClusters(clusters, fixture.input(), nullptr);
 
   // Corrupt a page that the *last* cluster needs and the *first* does not:
-  // its first physical read happens for some cluster k >= 1, which the
-  // parallel executor may pin early while cluster k-1 joins.
+  // its first physical read happens for some cluster k >= 1, after
+  // cluster k-1 has joined and released its pins.
   const auto last_pages =
       ClusterPageSet(clusters[order.back()], fixture.input());
   const auto first_pages =

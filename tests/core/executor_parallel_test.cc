@@ -1,7 +1,8 @@
-// Determinism guarantees of the parallel cluster-join executor
-// (core/executor.h): for any worker count, the emitted pair sequence, the
-// aggregated OpCounters, and the simulated IoStats must be identical to
-// the serial run — parallelism may only change wall-clock time.
+// Determinism guarantees of the cluster-join executor's multi-threaded
+// join step (core/executor.h): for any worker count, the emitted pair
+// sequence, the aggregated OpCounters, and the simulated IoStats must be
+// identical to the one-thread run — threads may only change wall-clock
+// time.
 
 #include <numeric>
 #include <vector>
@@ -73,9 +74,9 @@ TEST_P(ExecutorParallelTest, MatchesSerialOnSeededWorkload) {
 }
 
 TEST_P(ExecutorParallelTest, MatchesSerialWhenPrefetchRarelyFits) {
-  // A buffer barely larger than the biggest cluster forces the prefetch
-  // feasibility check to decline often, exercising the serial-position
-  // fallback path. Stats must still match exactly.
+  // A tight buffer: SquareClustering fills all 8 pages, so a cluster's
+  // misses evict the pages the previous cluster just released. Stats must
+  // still match exactly.
   const uint32_t threads = GetParam();
   SmallVectorJoin fixture(300, 300, 33, 0.06);
   uint32_t buffer = 8;
@@ -93,8 +94,9 @@ TEST_P(ExecutorParallelTest, MatchesSerialWhenPrefetchRarelyFits) {
 }
 
 TEST_P(ExecutorParallelTest, MatchesSerialWithRoomyBuffer) {
-  // A roomy buffer lets every prefetch proceed; the overlap must still be
-  // accounting-neutral.
+  // A roomy buffer, 48 of the fixture's 70 pages: clusters are large, and
+  // pages left resident by earlier clusters turn into buffer hits. Stats
+  // must still match exactly.
   const uint32_t threads = GetParam();
   SmallVectorJoin fixture(300, 250, 45, 0.05);
   const uint32_t buffer = 48;
@@ -137,68 +139,9 @@ TEST_P(ExecutorParallelTest, ShuffledOrderAlsoMatches)
 INSTANTIATE_TEST_SUITE_P(Threads, ExecutorParallelTest,
                          ::testing::Values(2u, 4u, 8u));
 
-TEST(ExecutorParallelTest, PrefetchDeclinedWhenBatchPagesAreTheVictims) {
-  // Regression: the prefetch gate must not count the next cluster's own
-  // resident-unpinned pages as eviction victims — PinBatch pins them
-  // before admitting any miss, so they can never be evicted on behalf of
-  // that batch. With capacity 4, after clusters {r0,s0} and {r1,s1} the
-  // pool holds four pages with r0,s0 unpinned; prefetching {r0,s2,s3}
-  // while {r1,s1} is still pinned needs two evictions but only s0 is a
-  // real victim (r0 belongs to the batch). A gate that merely compares
-  // evictions against UnpinnedCount() admits the pin, which then fails
-  // mid-batch with BufferFull and aborts the parallel run where the
-  // serial run succeeds. The fixed gate defers to the serial position,
-  // where the just-unpinned {r1,s1} supply the victims.
-  class NullJoiner : public PagePairJoiner {
-   public:
-    void JoinPages(uint32_t, uint32_t, PairSink*, OpCounters*) override {}
-    void ChargeScanned(uint32_t, uint32_t, OpCounters*) const override {}
-  };
-  NullJoiner joiner;
-
-  Cluster c0;
-  c0.rows = {0};
-  c0.cols = {0};
-  c0.entries = {MatrixEntry{0, 0}};
-  Cluster c1;
-  c1.rows = {1};
-  c1.cols = {1};
-  c1.entries = {MatrixEntry{1, 1}};
-  Cluster c2;
-  c2.rows = {0};
-  c2.cols = {2, 3};
-  c2.entries = {MatrixEntry{0, 2}, MatrixEntry{0, 3}};
-  const std::vector<Cluster> clusters{c0, c1, c2};
-  const std::vector<uint32_t> order{0, 1, 2};
-
-  IoStats serial_io;
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    SimulatedDisk disk;
-    disk.CreateFile("r", 2);
-    disk.CreateFile("s", 4);
-    JoinInput input;
-    input.r_file = 0;
-    input.s_file = 1;
-    input.r_pages = 2;
-    input.s_pages = 4;
-    input.joiner = &joiner;
-    BufferPool pool(&disk, 4);
-    CountingSink sink;
-    const Status st = ExecuteClusteredJoin(input, clusters, order, &pool,
-                                           &sink, nullptr, threads);
-    ASSERT_TRUE(st.ok()) << "threads=" << threads << ": " << st.message();
-    EXPECT_EQ(pool.PinnedCount(), 0u) << "threads=" << threads;
-    if (threads == 1) {
-      serial_io = disk.stats();
-    } else {
-      EXPECT_EQ(disk.stats(), serial_io) << "threads=" << threads;
-    }
-  }
-}
-
 TEST(ExecutorParallelTest, ErrorPositionsMatchSerial) {
-  // An oversized cluster after a valid one: both executors must join the
-  // valid cluster fully, then fail with BufferFull.
+  // An oversized cluster after a valid one: every thread count must join
+  // the valid cluster fully, then fail with BufferFull.
   SimulatedDisk disk;
   disk.CreateFile("r", 12);
   disk.CreateFile("s", 12);

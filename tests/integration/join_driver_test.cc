@@ -269,6 +269,68 @@ TEST(JoinDriverTest, TimeSeriesHierarchicalAndFlatMatricesAgree) {
                             SeriesKind::kNorm);
 }
 
+// A store destroyed and rebuilt at the same address must be joined over
+// its own page tree: one driver that joined the old store must give the
+// rebuilt one the answer a fresh driver gives.
+struct SelfJoinResult {
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  uint64_t marked_entries = 0;
+};
+
+template <typename Kind, typename Run>
+void ExpectRebuiltStoreJoinsItsOwnPages(
+    const std::vector<typename Kind::Symbol>& first,
+    const std::vector<typename Kind::Symbol>& second, uint32_t feature_dims,
+    uint32_t window_len, const Run& run) {
+  SimulatedDisk disk;
+  JoinDriver driver(&disk);
+  std::optional<SequenceStore<Kind>> store;
+  const auto self_join = [&](JoinDriver* d) {
+    CollectingSink sink;
+    const Result<JoinReport> report = run(d, *store, &sink);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return SelfJoinResult{sink.Sorted(),
+                          report.ok() ? report->marked_entries : 0};
+  };
+  store.emplace(SequenceStore<Kind>::Build(&disk, "first", first,
+                                           feature_dims, window_len, 1024)
+                    .value());
+  self_join(&driver);
+  store.reset();
+  store.emplace(SequenceStore<Kind>::Build(&disk, "second", second,
+                                           feature_dims, window_len, 1024)
+                    .value());
+  JoinDriver fresh(&disk);
+  const SelfJoinResult expected = self_join(&fresh);
+  const SelfJoinResult reused = self_join(&driver);
+  EXPECT_FALSE(expected.pairs.empty());
+  EXPECT_EQ(reused.marked_entries, expected.marked_entries);
+  EXPECT_EQ(reused.pairs.size(), expected.pairs.size());
+  EXPECT_EQ(reused.pairs, expected.pairs);
+}
+
+TEST(JoinDriverTest, StringStoreRebuiltAtSameAddressJoinsItsOwnPages) {
+  std::vector<uint8_t> a, b;
+  GenDnaPair(3000, 9000, 7, &a, &b, 0.30, 0.004, 0.15);
+  JoinOptions options = BaseOptions(Algorithm::kSc, 12);
+  options.page_size_bytes = 1024;
+  ExpectRebuiltStoreJoinsItsOwnPages<StringKind>(
+      a, b, 4, 100,
+      [&](JoinDriver* d, const StringSequenceStore& store, PairSink* sink) {
+        return d->RunString(store, store, 3, options, sink);
+      });
+}
+
+TEST(JoinDriverTest, SeriesStoreRebuiltAtSameAddressJoinsItsOwnPages) {
+  JoinOptions options = BaseOptions(Algorithm::kSc, 12);
+  options.page_size_bytes = 1024;
+  ExpectRebuiltStoreJoinsItsOwnPages<SeriesKind>(
+      GenRandomWalk(1000, 95), GenRandomWalk(3000, 96), 4, 16,
+      [&](JoinDriver* d, const TimeSeriesStore& store, PairSink* sink) {
+        return d->RunTimeSeries(store, store, 0.1, options, sink);
+      });
+}
+
 TEST(JoinDriverTest, AlgorithmNames) {
   EXPECT_EQ(AlgorithmName(Algorithm::kNlj), "NLJ");
   EXPECT_EQ(AlgorithmName(Algorithm::kPmNlj), "pm-NLJ");

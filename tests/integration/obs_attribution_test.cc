@@ -7,7 +7,9 @@
 //     pairs nor the op counters nor the simulated I/O, at any thread count.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -110,6 +112,36 @@ TEST(ObsAttributionTest, ExpectedPhasesArePresent) {
     if (row.path != "join") continue;
     ASSERT_TRUE(row.has_ops);
     EXPECT_EQ(row.ops, run.ops);
+  }
+}
+
+TEST(ObsAttributionTest, ThreadsAddNoPhaseButTheWorkerChunks) {
+  // Pins and unpins happen on the calling thread at the same positions
+  // whatever the thread count, so a multi-threaded run records the
+  // one-thread phase tree with the same I/O, plus its worker chunk joins.
+  const auto coordinator_phases = [](const obs::RunReport& report) {
+    std::map<std::string, obs::PhaseRow> rows;
+    for (const obs::PhaseRow& row : report.phases())
+      if (row.name != "join_entries") rows.emplace(row.path, row);
+    return rows;
+  };
+  for (Algorithm algorithm : {Algorithm::kSc, Algorithm::kCc}) {
+    const auto one = coordinator_phases(
+        RunOnce(algorithm, 1, /*observed=*/true).report);
+    const auto four = coordinator_phases(
+        RunOnce(algorithm, 4, /*observed=*/true).report);
+    std::vector<std::string> one_paths, four_paths;
+    for (const auto& [path, row] : one) one_paths.push_back(path);
+    for (const auto& [path, row] : four) four_paths.push_back(path);
+    ASSERT_EQ(four_paths, one_paths) << AlgorithmName(algorithm);
+    for (const auto& [path, row] : one) {
+      const obs::PhaseRow& other = four.at(path);
+      EXPECT_EQ(other.count, row.count) << path;
+      EXPECT_EQ(other.has_io, row.has_io) << path;
+      EXPECT_EQ(other.io, row.io) << path;
+      EXPECT_EQ(other.io_self, row.io_self) << path;
+      EXPECT_EQ(other.ops, row.ops) << path;
+    }
   }
 }
 

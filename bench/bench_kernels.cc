@@ -7,11 +7,11 @@
 //
 // The binary also carries two harness sweeps run before the
 // google-benchmark suite: the distance-kernel sweep (scalar reference vs
-// the batched kernel layer, per norm x dims) and the kNN-join sweep
-// (adaptive-eps pruning vs brute-force page expansion at k = 8). In
-// --json mode the sweeps' rows are mirrored to BENCH_kernels.json so CI's
-// bench-smoke job can diff them against bench/BENCH_kernels.baseline.json
-// with tools/bench_compare.py.
+// kernels::WithinMaskBlock, the kernel the page-pair join runs, per norm
+// x dims) and the kNN-join sweep (adaptive-eps pruning vs brute-force
+// page expansion at k = 8). In --json mode the sweeps' rows are mirrored
+// to BENCH_kernels.json so CI's bench-smoke job can diff them against
+// bench/BENCH_kernels.baseline.json with tools/bench_compare.py.
 
 #include <benchmark/benchmark.h>
 
@@ -460,8 +460,9 @@ BENCHMARK(BM_JoinStringPages);
 //
 // One query record against a block, the inner loop of JoinPages: the
 // scalar side is the pre-kernel path (per-pair WithinDistance over
-// unpadded rows), the tiled side is kernels::CountWithinBlock over the
-// padded PageBlock layout. Both must agree on every count — the sweep
+// unpadded rows), the tiled side is kernels::WithinMaskBlock, as
+// VectorPairJoiner::JoinPages calls it, over the padded PageBlock layout
+// with a row-sized mask. Both must agree on every count — the sweep
 // aborts if they do not, so the benchmark doubles as an end-to-end
 // decision check at throughput-sized inputs.
 
@@ -532,6 +533,7 @@ void RunKernelSweep(const bench::BenchArgs& args) {
                   q_padded.data() + size_t(q) * stride);
     }
     const kernels::BlockView block{padded.data(), rows, stride};
+    std::vector<uint8_t> mask(rows);
 
     for (const Norm norm : kNorms) {
       // eps at the median sampled query-row distance: roughly half the
@@ -568,8 +570,9 @@ void RunKernelSweep(const bench::BenchArgs& args) {
       const double tiled_sec = SecondsPerRun(min_measure_sec, [&]() {
         uint64_t count = 0;
         for (uint32_t q = 0; q < queries; ++q) {
-          count += kernels::CountWithinBlock(
-              q_padded.data() + size_t(q) * stride, block, dims, norm, eps);
+          count += kernels::WithinMaskBlock(
+              q_padded.data() + size_t(q) * stride, block, dims, norm, eps,
+              mask.data());
         }
         benchmark::DoNotOptimize(count);
         tiled_count = count;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -37,6 +38,9 @@ class ChunkedJoin {
     const size_t n = entries.size();
     const uint32_t chunks =
         static_cast<uint32_t>(std::min<size_t>(workers_.size(), n));
+    // Worker spans nest under the coordinator's open spans
+    // (join/execute/cluster); each task carries its own copy of the names.
+    std::vector<const char*> parents = obs::OpenSpanNames();
     WaitGroup wg;
     wg.Add(chunks);
     for (uint32_t c = 0; c < chunks; ++c) {
@@ -45,8 +49,10 @@ class ChunkedJoin {
       const std::span<const MatrixEntry> chunk = entries.subspan(lo, hi - lo);
       PairSink* chunk_sink = pair_shards_.shard(c);
       OpCounters* chunk_ops = op_shards_.shard(c);
-      workers_.Submit([&input, &wg, chunk, chunk_sink, chunk_ops] {
+      workers_.Submit([&input, &wg, parents, chunk, chunk_sink,
+                       chunk_ops]() mutable {
         {
+          obs::ScopedSpanParents adopt(std::move(parents));
           // Scoped so the span's final read of *chunk_ops completes before
           // Done() releases the chunk to the drain below.
           PMJOIN_SPAN_OPS("join_entries", chunk_ops);

@@ -352,11 +352,6 @@ uint32_t WithinMaskBlock(const float* query, const BlockView& block,
   return NormDispatch(query, block, dims, norm, eps, mask);
 }
 
-uint32_t CountWithinBlock(const float* query, const BlockView& block,
-                          size_t dims, Norm norm, double eps) {
-  return NormDispatch(query, block, dims, norm, eps, nullptr);
-}
-
 uint32_t KnnCandidateBlock(const float* query, const BlockView& block,
                            size_t dims, Norm norm, double bound_stat,
                            double* stats) {

@@ -59,11 +59,6 @@ inline constexpr uint32_t PaddedWidth(size_t dims) {
 uint32_t WithinMaskBlock(const float* query, const BlockView& block,
                          size_t dims, Norm norm, double eps, uint8_t* mask);
 
-/// Number of rows of `block` within `eps` of `query` (same decisions as
-/// WithinMaskBlock without materializing the mask).
-uint32_t CountWithinBlock(const float* query, const BlockView& block,
-                          size_t dims, Norm norm, double eps);
-
 /// One-vs-block top-k candidate pass: writes `stats[j]` for every row j of
 /// `block`. Rows whose exact statistic might be <= `bound_stat` (the
 /// caller's current k-th-neighbor statistic; +infinity while its heap is

@@ -29,7 +29,6 @@ Status BufferPool::EvictOne() {
 Status BufferPool::Ensure(PageId pid, std::vector<PageId>* missed) {
   auto it = frames_.find(pid);
   if (it != frames_.end()) {
-    PMJOIN_METRIC_COUNT("buffer_pool.hits", 1);
     ++disk_->mutable_stats().buffer_hits;
     // Refresh LRU position if unpinned.
     Frame& f = it->second;

@@ -187,18 +187,14 @@ Status FileBackend::PreadAll(int fd, uint8_t* buf, size_t len,
                              uint64_t offset, std::string_view what) {
   size_t done = 0;
   while (done < len) {
-#ifndef PMJOIN_OBS_DISABLED
     const bool timed = obs::ObsEnabled();
     const int64_t t0 = timed ? obs::MonotonicNanos() : 0;
-#endif
     const ssize_t r = ::pread(fd, buf + done, len - done,
                               static_cast<off_t>(offset + done));
-#ifndef PMJOIN_OBS_DISABLED
     if (timed)
       PMJOIN_METRIC_RECORD(
           "io.pread_ns",
           static_cast<uint64_t>(obs::MonotonicNanos() - t0));
-#endif
     if (r < 0) {
       if (errno == EINTR) continue;
       return ErrnoStatus(std::string("pread ") + std::string(what));
@@ -219,18 +215,14 @@ Status FileBackend::PwriteAll(int fd, const uint8_t* buf, size_t len,
                               uint64_t offset) {
   size_t done = 0;
   while (done < len) {
-#ifndef PMJOIN_OBS_DISABLED
     const bool timed = obs::ObsEnabled();
     const int64_t t0 = timed ? obs::MonotonicNanos() : 0;
-#endif
     const ssize_t r = ::pwrite(fd, buf + done, len - done,
                                static_cast<off_t>(offset + done));
-#ifndef PMJOIN_OBS_DISABLED
     if (timed)
       PMJOIN_METRIC_RECORD(
           "io.pwrite_ns",
           static_cast<uint64_t>(obs::MonotonicNanos() - t0));
-#endif
     if (r < 0) {
       if (errno == EINTR) continue;
       return ErrnoStatus("pwrite");

@@ -46,7 +46,6 @@ class Counter {
     cells_[ThreadIndex() & (kCells - 1)].value.fetch_add(
         delta, std::memory_order_relaxed);
   }
-  void Increment() { Add(1); }
   uint64_t Total() const;
   void Reset();
 
@@ -148,11 +147,8 @@ class MetricsRegistry {
 }  // namespace pmjoin
 
 // Instrumentation macros. `name` must be a string literal (the handle is
-// cached in a function-local static on first enabled hit). All of them
-// compile to a type-checked no-op under -DPMJOIN_OBS_DISABLED and cost one
-// relaxed atomic load + branch when compiled in but no session is active.
-#ifndef PMJOIN_OBS_DISABLED
-
+// cached in a function-local static on first enabled hit). Each costs one
+// relaxed atomic load + branch when no session is active.
 #define PMJOIN_METRIC_COUNT(name, delta)                                  \
   do {                                                                    \
     if (::pmjoin::obs::ObsEnabled()) {                                    \
@@ -179,33 +175,5 @@ class MetricsRegistry {
       pmjoin_metric_histogram->Record(value);                             \
     }                                                                     \
   } while (false)
-
-#else  // PMJOIN_OBS_DISABLED
-
-#define PMJOIN_METRIC_COUNT(name, delta)         \
-  do {                                           \
-    if (false) {                                 \
-      static_cast<void>(name);                   \
-      static_cast<void>(delta);                  \
-    }                                            \
-  } while (false)
-
-#define PMJOIN_METRIC_GAUGE_SET(name, value)     \
-  do {                                           \
-    if (false) {                                 \
-      static_cast<void>(name);                   \
-      static_cast<void>(value);                  \
-    }                                            \
-  } while (false)
-
-#define PMJOIN_METRIC_RECORD(name, value)        \
-  do {                                           \
-    if (false) {                                 \
-      static_cast<void>(name);                   \
-      static_cast<void>(value);                  \
-    }                                            \
-  } while (false)
-
-#endif  // PMJOIN_OBS_DISABLED
 
 #endif  // PMJOIN_OBS_METRICS_H_

@@ -76,6 +76,15 @@ void Tracer::FinishSpan(TraceEvent event, bool capture_io,
   events_.push_back(std::move(event));
 }
 
+std::vector<const char*> OpenSpanNames() { return tls_span_stack; }
+
+ScopedSpanParents::ScopedSpanParents(std::vector<const char*> parents)
+    : saved_(std::exchange(tls_span_stack, std::move(parents))) {}
+
+ScopedSpanParents::~ScopedSpanParents() {
+  tls_span_stack = std::move(saved_);
+}
+
 void Span::Begin(const char* name, const OpCounters* ops, uint64_t arg) {
   if (!Tracer::Get().ArmSpan(&capture_io_, &io_start_)) return;
   armed_ = true;

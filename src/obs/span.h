@@ -122,6 +122,27 @@ class Span {
   OpCounters ops_start_;
 };
 
+// Names of the spans the calling thread has open inside a session,
+// outermost first.
+std::vector<const char*> OpenSpanNames();
+
+// For its lifetime, spans the calling thread opens nest under `parents` (a
+// copy of another thread's OpenSpanNames()): a pool worker adopts its
+// coordinator's open spans, so its events get the path and depth they would
+// have had on the coordinator. Construct and destroy it around the spans
+// it should parent, on the stack like a Span.
+class ScopedSpanParents {
+ public:
+  explicit ScopedSpanParents(std::vector<const char*> parents);
+  ~ScopedSpanParents();
+
+  ScopedSpanParents(const ScopedSpanParents&) = delete;
+  ScopedSpanParents& operator=(const ScopedSpanParents&) = delete;
+
+ private:
+  std::vector<const char*> saved_;  // the thread's own stack, restored
+};
+
 }  // namespace obs
 }  // namespace pmjoin
 
@@ -129,12 +150,6 @@ class Span {
 // name and one path segment ('/' is reserved as the nesting separator).
 // `ops` is a `const OpCounters*` (may be null) whose delta over the span is
 // attached to the event; `arg` is a uint64 operand shown in the trace.
-// Compiled out entirely (type-checked, unevaluated) under
-// -DPMJOIN_OBS_DISABLED; PMJOIN_OBS_ENABLED is defined otherwise so tests
-// can gate span-presence assertions.
-#ifndef PMJOIN_OBS_DISABLED
-#define PMJOIN_OBS_ENABLED 1
-
 #define PMJOIN_OBS_CONCAT_INNER(a, b) a##b
 #define PMJOIN_OBS_CONCAT(a, b) PMJOIN_OBS_CONCAT_INNER(a, b)
 
@@ -147,38 +162,5 @@ class Span {
       name, nullptr, arg)
 #define PMJOIN_SPAN_OPS_ARG(name, ops, arg) \
   ::pmjoin::obs::Span PMJOIN_OBS_CONCAT(pmjoin_span_, __LINE__)(name, ops, arg)
-
-#else  // PMJOIN_OBS_DISABLED
-
-#define PMJOIN_SPAN(name)       \
-  do {                          \
-    if (false) {                \
-      static_cast<void>(name);  \
-    }                           \
-  } while (false)
-#define PMJOIN_SPAN_OPS(name, ops)                              \
-  do {                                                          \
-    if (false) {                                                \
-      static_cast<void>(name);                                  \
-      static_cast<void>(static_cast<const ::pmjoin::OpCounters*>(ops)); \
-    }                                                           \
-  } while (false)
-#define PMJOIN_SPAN_ARG(name, arg)  \
-  do {                              \
-    if (false) {                    \
-      static_cast<void>(name);      \
-      static_cast<void>(arg);       \
-    }                               \
-  } while (false)
-#define PMJOIN_SPAN_OPS_ARG(name, ops, arg)                     \
-  do {                                                          \
-    if (false) {                                                \
-      static_cast<void>(name);                                  \
-      static_cast<void>(static_cast<const ::pmjoin::OpCounters*>(ops)); \
-      static_cast<void>(arg);                                   \
-    }                                                           \
-  } while (false)
-
-#endif  // PMJOIN_OBS_DISABLED
 
 #endif  // PMJOIN_OBS_SPAN_H_

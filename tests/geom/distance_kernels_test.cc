@@ -84,9 +84,6 @@ TEST_P(KernelDecisionTest, MaskMatchesScalarReferenceAcrossDims) {
         EXPECT_LE(mask[j], 1) << "mask must be 0/1";
       }
       EXPECT_EQ(n, expect_count);
-      EXPECT_EQ(kernels::CountWithinBlock(padded.data(), block.view, dims,
-                                          norm, eps),
-                expect_count);
     }
   }
 }
@@ -170,7 +167,6 @@ TEST_P(KernelDecisionTest, EmptyBlockReturnsZero) {
   const kernels::BlockView empty{nullptr, 0, 8};
   uint8_t mask[1] = {0xAB};
   EXPECT_EQ(kernels::WithinMaskBlock(query, empty, 8, norm, 1.0, mask), 0u);
-  EXPECT_EQ(kernels::CountWithinBlock(query, empty, 8, norm, 1.0), 0u);
   EXPECT_EQ(mask[0], 0xAB) << "mask untouched for an empty block";
 }
 

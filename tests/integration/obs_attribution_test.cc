@@ -5,16 +5,23 @@
 //     field, and the session totals equal the JoinReport's own delta.
 //  2. Harmlessness — enabling a tracing session changes neither the emitted
 //     pairs nor the op counters nor the simulated I/O, at any thread count.
+//  3. Measured I/O — on the file backend the session's io.* syscall and
+//     byte metrics equal the backend's own measured counters.
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "core/join_driver.h"
 #include "data/generators.h"
+#include "io/file_backend.h"
 #include "io/io_stats.h"
 #include "io/simulated_disk.h"
 #include "obs/run_report.h"
@@ -90,7 +97,6 @@ TEST(ObsAttributionTest, PhaseLedgerSumsToSessionTotalsExactly) {
   }
 }
 
-#ifdef PMJOIN_OBS_ENABLED
 TEST(ObsAttributionTest, ExpectedPhasesArePresent) {
   const RunResult run = RunOnce(Algorithm::kSc, 1, /*observed=*/true);
   bool saw_join = false;
@@ -151,6 +157,9 @@ TEST(ObsAttributionTest, WorkerSpansAppearAtHigherThreadCounts) {
   for (const obs::PhaseRow& row : run.report.phases()) {
     if (row.name == "join_entries") {
       saw_worker_chunk = true;
+      // A worker's chunk join nests under the cluster its coordinator has
+      // open; it never starts a root of its own.
+      EXPECT_EQ(row.path, "join/execute/cluster/join_entries");
       // Worker-track spans never carry I/O — all disk traffic is on the
       // coordinator, which is what makes the ledger race-free.
       EXPECT_FALSE(row.has_io);
@@ -158,7 +167,6 @@ TEST(ObsAttributionTest, WorkerSpansAppearAtHigherThreadCounts) {
   }
   EXPECT_TRUE(saw_worker_chunk);
 }
-#endif  // PMJOIN_OBS_ENABLED
 
 TEST(ObsAttributionTest, ObservationDoesNotChangeResults) {
   for (Algorithm algorithm : {Algorithm::kSc, Algorithm::kCc}) {
@@ -179,6 +187,58 @@ TEST(ObsAttributionTest, ObservationDoesNotChangeResults) {
       }
     }
   }
+}
+
+TEST(ObsAttributionTest, MeasuredIoMetricsEqualTheBackendsCounters) {
+  // The run report's only record of measured I/O is its io.* metrics, so
+  // over a session that builds, persists and joins on real files they
+  // must equal the backend's MeasuredIo delta.
+  const std::string dir = ::testing::TempDir() + "pmjoin-obs-measured-" +
+                          std::to_string(::getpid());
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  FileBackend::Options backend_options;
+  backend_options.page_size_bytes = 256;
+  auto backend = FileBackend::Open(dir, backend_options).value();
+  const StorageBackend::MeasuredIo before = backend->measured();
+
+  obs::Tracer::Get().StartSession(backend.get());
+  VectorDataset::Options layout;
+  layout.page_size_bytes = 64;
+  VectorDataset r =
+      VectorDataset::Build(backend.get(), "r", GenRoadNetwork(600, 31),
+                           layout)
+          .value();
+  VectorDataset s =
+      VectorDataset::Build(backend.get(), "s", GenRoadNetwork(500, 32),
+                           layout)
+          .value();
+  ASSERT_TRUE(r.Persist(backend.get()).ok());
+  ASSERT_TRUE(s.Persist(backend.get()).ok());
+  JoinOptions options;
+  options.algorithm = Algorithm::kSc;
+  options.buffer_pages = 10;
+  options.page_size_bytes = 64;
+  JoinDriver driver(backend.get());
+  CollectingSink sink;
+  ASSERT_TRUE(driver.RunVector(r, s, 0.05, options, &sink).ok());
+  obs::Tracer::Get().StopSession();
+
+  const StorageBackend::MeasuredIo& after = backend->measured();
+  const auto metric = [](const char* name) {
+    return obs::MetricsRegistry::Get().counter(name)->Total();
+  };
+  EXPECT_GT(after.read_syscalls, before.read_syscalls);
+  EXPECT_GT(after.write_syscalls, before.write_syscalls);
+  EXPECT_EQ(metric("io.read_syscalls"),
+            after.read_syscalls - before.read_syscalls);
+  EXPECT_EQ(metric("io.read_bytes"), after.read_bytes - before.read_bytes);
+  EXPECT_EQ(metric("io.write_syscalls"),
+            after.write_syscalls - before.write_syscalls);
+  EXPECT_EQ(metric("io.write_bytes"),
+            after.write_bytes - before.write_bytes);
+  backend.reset();
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

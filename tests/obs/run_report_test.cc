@@ -82,7 +82,6 @@ TEST(RunReportTest, ExclusiveIoTelescopesToTotals) {
 
   RunReport report;
   report.CaptureSession();
-#ifdef PMJOIN_OBS_ENABLED
   ASSERT_EQ(report.phases().size(), 2u);
   const PhaseRow& outer = report.phases()[0];
   const PhaseRow& inner = report.phases()[1];
@@ -95,7 +94,6 @@ TEST(RunReportTest, ExclusiveIoTelescopesToTotals) {
   EXPECT_EQ(outer.io_self.pages_read, 2u);
   EXPECT_EQ(inner.io_self.pages_read, 2u);
   EXPECT_EQ(report.unattributed_io().pages_read, 1u);
-#endif
   // The ledger invariant, field by field.
   IoStats sum = report.unattributed_io();
   for (const PhaseRow& row : report.phases()) sum += row.io_self;
@@ -147,10 +145,8 @@ TEST(RunReportTest, CapturesMetricsSnapshot) {
   Tracer::Get().StopSession();
   RunReport report;
   report.CaptureSession();
-#ifdef PMJOIN_OBS_ENABLED
   const std::string json = report.ToJson();
   EXPECT_NE(json.find("\"test.report_metric\""), std::string::npos);
-#endif
 }
 
 }  // namespace

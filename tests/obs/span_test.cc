@@ -3,15 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/op_counters.h"
 #include "io/simulated_disk.h"
-
-// Span events only exist when the macros are compiled in; under
-// -DPMJOIN_OBS_DISABLED the whole suite vacuously passes (the determinism
-// tests in tests/integration/obs_attribution_test.cc still run there).
-#ifdef PMJOIN_OBS_ENABLED
 
 namespace pmjoin {
 namespace obs {
@@ -123,6 +119,29 @@ TEST(SpanTest, IoDeltaCapturedOnSessionThreadOnly) {
   EXPECT_NE(worker_phase.tid, read_phase.tid);
 }
 
+TEST(SpanTest, AdoptedParentsNestAnotherThreadsSpans) {
+  const auto events = Capture([] {
+    PMJOIN_SPAN("outer");
+    PMJOIN_SPAN("inner");
+    std::thread worker([parents = OpenSpanNames()]() mutable {
+      {
+        ScopedSpanParents adopt(std::move(parents));
+        PMJOIN_SPAN("chunk");
+      }
+      // The worker's own, empty stack is back: this span is a root.
+      PMJOIN_SPAN("after");
+    });
+    worker.join();
+  });
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].path, "outer/inner/chunk");
+  EXPECT_EQ(events[0].depth, 2u);
+  EXPECT_EQ(events[1].path, "after");
+  EXPECT_EQ(events[1].depth, 0u);
+  EXPECT_EQ(events[2].path, "outer/inner");
+  EXPECT_NE(events[0].tid, events[2].tid);
+}
+
 TEST(SpanTest, SessionIoCoversSessionOnly) {
   SimulatedDisk disk;
   const uint32_t file = disk.CreateFile("f", 8);
@@ -160,5 +179,3 @@ TEST(SpanTest, StartSessionClearsPriorEvents) {
 }  // namespace
 }  // namespace obs
 }  // namespace pmjoin
-
-#endif  // PMJOIN_OBS_ENABLED

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (stdlib only, no build needed).
 
-Three rules, all derived from the source tree so the docs cannot drift
+Four rules, all derived from the source tree so the docs cannot drift
 silently:
 
   1. Directory map: every direct subdirectory of src/ that contains
@@ -18,6 +18,11 @@ silently:
      job, which never builds the binaries.
   3. Links: every relative markdown link in the documentation set must
      resolve to an existing file in the repository.
+  4. Build options: every `-DPMJOIN_<NAME>` configure flag in the docs
+     (README.md, DESIGN.md, EXPERIMENTS.md, docs/), the verify notes and
+     the CI workflow must name an option() or cache variable of the
+     top-level CMakeLists.txt, so a deleted option cannot linger in a
+     recipe.
 
 Usage: tools/check_docs.py [--repo DIR]
 Exit code is non-zero if any rule fails.
@@ -39,6 +44,11 @@ TOOL_SOURCES = {
 DOC_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
              "CHANGES.md"]
 
+# Files outside docs/ whose configure flags rule 4 checks.
+CMAKE_FLAG_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
+                    ".claude/skills/verify/SKILL.md",
+                    ".github/workflows/ci.yml"]
+
 FLAG_PARSE_RE = re.compile(
     r'(?:ParseFlag\(argv\[i\],\s*|std::strcmp\(argv\[i\],\s*)"(--[a-z0-9-]+)"')
 FLAG_TOKEN_RE = re.compile(r"--[a-z0-9][a-z0-9-]*")
@@ -48,6 +58,11 @@ PROSE_RE = re.compile(r'//.*|"(?:[^"\\]|\\.)*"')
 FLAG_ROW_RE = re.compile(r"^\|\s*`(--[a-z0-9][a-z0-9-]*)", re.MULTILINE)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SOURCE_SUFFIXES = (".h", ".cc", ".cpp")
+CMAKE_FLAG_RE = re.compile(r"-D(PMJOIN_[A-Z0-9_]+)")
+# option(PMJOIN_X ...) or set(PMJOIN_X <default> CACHE <type> ...).
+CMAKE_OPTION_RE = re.compile(
+    r"^\s*(?:option\(\s*(PMJOIN_[A-Z0-9_]+)"
+    r"|set\(\s*(PMJOIN_[A-Z0-9_]+)\s[^)]*?\bCACHE\b)", re.MULTILINE)
 
 
 def read(path):
@@ -117,15 +132,17 @@ def check_flags(repo, errors):
                               f"{source_rel} flag (rule 2)")
 
 
-def doc_set(repo):
-    files = [rel for rel in DOC_FILES
-             if os.path.exists(os.path.join(repo, rel))]
+def docs_dir_set(repo):
     docs_dir = os.path.join(repo, "docs")
-    if os.path.isdir(docs_dir):
-        files.extend(os.path.join("docs", name)
-                     for name in sorted(os.listdir(docs_dir))
-                     if name.endswith(".md"))
-    return files
+    if not os.path.isdir(docs_dir):
+        return []
+    return [os.path.join("docs", name)
+            for name in sorted(os.listdir(docs_dir)) if name.endswith(".md")]
+
+
+def doc_set(repo):
+    return [rel for rel in DOC_FILES
+            if os.path.exists(os.path.join(repo, rel))] + docs_dir_set(repo)
 
 
 def check_links(repo, errors):
@@ -143,6 +160,21 @@ def check_links(repo, errors):
                 errors.append(f"{rel}: broken link to {target} (rule 3)")
 
 
+def check_cmake_flags(repo, errors):
+    cmake = read(os.path.join(repo, "CMakeLists.txt"))
+    options = {name for match in CMAKE_OPTION_RE.findall(cmake)
+               for name in match if name}
+    for rel in CMAKE_FLAG_FILES + docs_dir_set(repo):
+        path = os.path.join(repo, rel)
+        if not os.path.exists(path):
+            continue
+        for lineno, line in enumerate(read(path).splitlines(), 1):
+            for name in CMAKE_FLAG_RE.findall(line):
+                if name not in options:
+                    errors.append(f"{rel}:{lineno}: -D{name} is not an "
+                                  "option of CMakeLists.txt (rule 4)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repo",
@@ -155,6 +187,7 @@ def main():
     check_directory_map(args.repo, errors)
     check_flags(args.repo, errors)
     check_links(args.repo, errors)
+    check_cmake_flags(args.repo, errors)
     if errors:
         for error in errors:
             print(f"check_docs: {error}")
